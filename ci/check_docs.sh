@@ -2,8 +2,11 @@
 # Docs hygiene gate, run by ci/verify.sh:
 #   1. Relative markdown links in README.md, DESIGN.md, docs/*.md and
 #      examples/README.md must resolve to existing files.
-#   2. Every field of QPipeOptions (src/qpipe/engine.h) and EngineConfig
-#      (src/core/sharing_engine.h) must be named in docs/KNOBS.md.
+#   2. Every field of QPipeOptions (src/qpipe/engine.h), EngineConfig
+#      (src/core/sharing_engine.h), AdaptiveSpPolicy and CostModelOptions
+#      must be named in docs/KNOBS.md — and, in reverse, every knob named
+#      in the first column of a KNOBS.md table must be a field of one of
+#      those structs (a deleted knob cannot keep its row).
 #   3. Every canonical metric name in src/common/metrics.h must be named
 #      in docs/METRICS.md.
 # The point: the documentation surface cannot silently rot as knobs and
@@ -32,14 +35,14 @@ for f in README.md DESIGN.md docs/*.md examples/README.md; do
 done
 
 # --- 2. knob coverage -------------------------------------------------------
-# Extract member names of a top-level struct: lines at brace depth 1 that
-# declare a field (no '(', ends in ';'), taking the last identifier before
-# the default/semicolon. Nested function bodies (e.g. AllSp) sit at depth
-# >= 2 and are skipped.
+# Extract member names of a top-level struct (optionally with a base
+# class): lines at brace depth 1 that declare a field (no '(', ends in
+# ';'), taking the last identifier before the default/semicolon. Nested
+# function bodies (e.g. AllSp) sit at depth >= 2 and are skipped.
 extract_fields() {
   local file="$1" struct="$2"
   awk -v s="$struct" '
-    $0 ~ "^struct[ \t]+" s "[ \t]*\\{" { in_struct = 1; depth = 1; next }
+    $0 ~ "^struct[ \t]+" s "[ \t]*(:[^{]*)?\\{" { in_struct = 1; depth = 1; next }
     in_struct {
       line = $0
       if (depth == 1 && line !~ /\(/ && line !~ /^[ \t]*\/\// &&
@@ -71,10 +74,34 @@ check_knobs() {
   done < <(extract_fields "$file" "$struct")
 }
 
-check_knobs src/qpipe/engine.h QPipeOptions
-check_knobs src/core/sharing_engine.h EngineConfig
-check_knobs src/qpipe/stage.h AdaptiveSpPolicy
-check_knobs src/qpipe/cost_model.h CostModelOptions
+KNOB_STRUCTS=(
+  "src/qpipe/engine.h QPipeOptions"
+  "src/core/sharing_engine.h EngineConfig"
+  "src/qpipe/stage.h AdaptiveSpPolicy"
+  "src/qpipe/cost_model.h CostModelOptions"
+)
+all_fields=""
+for spec in "${KNOB_STRUCTS[@]}"; do
+  read -r file struct <<<"$spec"
+  fields=$(extract_fields "$file" "$struct")
+  if [[ -z "$fields" ]]; then
+    echo "docs-check: no fields extracted for $struct ($file)"
+    fail=1
+  fi
+  all_fields+="$fields"$'\n'
+  check_knobs "$file" "$struct"
+done
+
+# Reverse: backticked identifiers in the first column of KNOBS.md table
+# rows (header and separator rows have none), `adaptive.` stripped.
+while IFS= read -r knob; do
+  [[ -z "$knob" ]] && continue
+  if ! grep -qxF "$knob" <<<"$all_fields"; then
+    echo "docs-check: docs/KNOBS.md names knob '$knob', which is not a field of QPipeOptions, EngineConfig, AdaptiveSpPolicy or CostModelOptions"
+    fail=1
+  fi
+done < <(grep -E '^\|' docs/KNOBS.md | cut -d'|' -f2 |
+         grep -oE '`[A-Za-z_.]+`' | tr -d '`' | sed 's/^adaptive\.//')
 
 # --- 3. metric coverage -----------------------------------------------------
 while IFS= read -r metric; do

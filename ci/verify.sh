@@ -91,12 +91,14 @@ if [[ "${1:-}" != "--fast" ]]; then
   echo "=== concurrency suites under ThreadSanitizer ==="
   # The sharing hot path is lock-free by design; TSan proves the seqlock
   # publication, parking handshake, and spill-install races are sound.
-  # Scoped to the concurrency-heavy suites — the full matrix under TSan
-  # would dominate verify wall time without exercising new interleavings.
+  # Scoped to the concurrency-heavy suites plus adaptive admission (the
+  # per-signature cost model under every engine mode) — the full matrix
+  # under TSan would dominate verify wall time without exercising new
+  # interleavings.
   cmake -B build-tsan -S . -DSHARING_TSAN=ON
   cmake --build build-tsan -j "$JOBS"
   ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-    -R 'SharingChannelTest|PushChannelTest|PullChannelTest|SpillChannelTest|SplContentionTest|BatchPipeTest|SplTest|FifoBufferTest|AsyncSpillTest|SpillEngineTest|SpBudgetGovernorTest|IoSchedulerTest|CircularScanPrefetchTest|TraceTest|AdminServerTest|AdminEngineTest|WatchdogTest|MetricsFormatTest|FaultRegistryTest|DeadlineTest|CancelRaceTest'
+    -R 'SharingChannelTest|PushChannelTest|PullChannelTest|SpillChannelTest|SplContentionTest|BatchPipeTest|SplTest|FifoBufferTest|AsyncSpillTest|SpillEngineTest|SpBudgetGovernorTest|IoSchedulerTest|CircularScanPrefetchTest|TraceTest|AdminServerTest|AdminEngineTest|WatchdogTest|MetricsFormatTest|FaultRegistryTest|DeadlineTest|CancelRaceTest|QPipeTest|SharingCostModelTest|EngineModeTest|EngineModeSwitchTest'
 fi
 
 echo "verify: OK"

@@ -11,7 +11,6 @@
 
 #include "cjoin/pipeline.h"
 #include "cjoin/star_query.h"
-#include "qpipe/engine.h"
 #include "qpipe/stage.h"
 
 namespace sharing {
@@ -30,14 +29,5 @@ class CJoinStage final : public Stage {
  private:
   CJoinPipeline* pipeline_;
 };
-
-/// Routes CJOIN-eligible join sub-plans of `engine` to `stage`: installs a
-/// join-dispatch hook that converts star sub-plans to StarQuerySpecs and
-/// submits them as CJOIN packets; non-star joins fall back to the
-/// query-centric JOIN stage. Returns the shared stage so callers can flip
-/// its SP mode (GQP vs GQP+SP).
-std::shared_ptr<CJoinStage> AttachCJoinToEngine(QPipeEngine* engine,
-                                                CJoinPipeline* pipeline,
-                                                Stage::Options options);
 
 }  // namespace sharing

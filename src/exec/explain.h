@@ -43,8 +43,10 @@ struct QueryExplain {
     Role role = Role::kUnshared;
     const char* transport = "none";    // "none" | "push" | "pull"
     /// Who made the call: "static" (configured mode), "cold" (popularity
-    /// gate), "model" (per-signature cost model), "fallback" (stage-wide
-    /// thresholds), "attach" (an in-flight host existed — free win).
+    /// gate), "model" (per-signature cost model), "prior" (the model's
+    /// pull prior below min_samples), "attach" (an in-flight host existed
+    /// — free win), "rerun" (satellite re-dispatched after its host
+    /// failed).
     const char* decided_by = "static";
     bool spill_preferred = false;  // model chose pull for the spill tier
     double confidence = 0;         // model decisions only

@@ -186,7 +186,7 @@ CostDecision SharingCostModel::Decide(uint64_t signature,
   CostDecision decision;
   if (stats.session_samples() < options_.min_samples ||
       stats.work_samples() < options_.min_samples) {
-    return decision;  // from_model = false: caller falls back
+    return decision;  // from_model = false: the pull prior
   }
   decision.from_model = true;
   CostEstimate& est = decision.estimate;
@@ -277,8 +277,8 @@ CostDecision SharingCostModel::Decide(uint64_t signature,
   // Sticky decisions: the challenger must beat the incumbent — the
   // signature's previous decision, or the cheaper shared transport for a
   // first-time decision (sharing is the default prior, as in the
-  // threshold policy's "no history -> pull") — by more than the
-  // hysteresis margin.
+  // cold-start "no history -> pull") — by more than the hysteresis
+  // margin.
   const SpMode incumbent =
       entry.has_decision
           ? entry.last_mode

@@ -5,10 +5,10 @@
 // assumed: whether hosting a sharing session wins depends on the work a
 // query performs, how often its identical twins arrive, and how its
 // consumers behave — all properties of the *query shape*, not the stage.
-// The stage-wide means the original ChooseAdaptiveMode compared against
-// thresholds conflate cheap and expensive signatures: one laggy big
-// template drags every small template into pull, and a flood of trivial
-// one-pagers hides the convoy a heavy template is building.
+// Stage-wide means compared against thresholds would conflate cheap and
+// expensive signatures: one laggy big template drags every small template
+// into pull, and a flood of trivial one-pagers hides the convoy a heavy
+// template is building.
 //
 // This module keys the decision on the plan signature instead:
 //
@@ -25,6 +25,7 @@
 //    sticky: flipping away from the previous decision requires the
 //    challenger to win by more than a hysteresis margin, so a signature
 //    sitting on a cost crossover does not thrash between transports.
+//    Below min_samples the model answers with its cold-start prior, pull.
 //
 // The model's constants (copy cost per page, attach cost, spill round
 // trip, ...) are *model parameters*, not measurements — they encode the
@@ -63,9 +64,8 @@ struct CostModelOptions {
   std::size_t history = 32;
 
   /// Sessions AND work samples a signature needs before the model decides
-  /// for it; below this the caller falls back to the stage-wide
-  /// heuristic. 0 is clamped to 1 by the model (a zero gate would let it
-  /// decide from an empty ring).
+  /// for it; below this Decide returns the pull prior. 0 is clamped to 1
+  /// by the model (a zero gate would let it decide from an empty ring).
   std::size_t min_samples = 3;
 
   /// Relative cost advantage a challenger mode must have over the
@@ -116,8 +116,8 @@ class SignatureStats {
   double MeanWorkMicros() const;
   /// Work at quantile q in [0,1] over the ring (nearest-rank). The p95
   /// work is what the debug dump reports next to the mean: a signature
-  /// whose tail is far above its mean is exactly the kind the stage-wide
-  /// average misjudged.
+  /// whose tail is far above its mean is exactly the kind a stage-wide
+  /// average misjudges.
   double WorkMicrosAtQuantile(double q) const;
   double MeanPages() const;
   double MeanSatellites() const;
@@ -186,8 +186,8 @@ struct CostEstimate {
 };
 
 struct CostDecision {
-  /// False: not enough history — the caller must fall back to its
-  /// stage-wide heuristic. All other fields are meaningless then.
+  /// False: not enough history — `mode` is the cold-start prior (pull)
+  /// and every other field keeps its default.
   bool from_model = false;
 
   SpMode mode = SpMode::kPull;  // kOff, kPush or kPull

@@ -100,20 +100,19 @@ QPipeEngine::QPipeEngine(Catalog* catalog, QPipeOptions options,
     sp_governor_ = SpBudgetGovernor::Create(std::move(gopts));
   }
 
-  Stage::Options base;
-  base.initial_workers = options_.stage_workers;
-  base.max_workers = options_.stage_max_workers;
-  base.fifo_capacity = options_.fifo_capacity;
-  base.sp_read_batch = options_.sp_read_batch;
-  base.adaptive = options_.adaptive;
-  base.cost_model.history = options_.cost_model_history;
-  base.cost_model.min_samples = options_.cost_model_min_samples;
-  base.cost_model.debug = options_.cost_model_debug;
+  stage_options_.initial_workers = options_.stage_workers;
+  stage_options_.max_workers = options_.stage_max_workers;
+  stage_options_.fifo_capacity = options_.fifo_capacity;
+  stage_options_.sp_read_batch = options_.sp_read_batch;
+  stage_options_.adaptive = options_.adaptive;
+  stage_options_.cost_model.history = options_.cost_model_history;
+  stage_options_.cost_model.min_samples = options_.cost_model_min_samples;
+  stage_options_.cost_model.debug = options_.cost_model_debug;
   // The model tracks the same signatures the popularity LRU does.
-  base.cost_model.capacity = options_.adaptive.popularity_capacity;
-  base.governor = sp_governor_;
+  stage_options_.cost_model.capacity = options_.adaptive.popularity_capacity;
+  stage_options_.governor = sp_governor_;
 
-  Stage::Options o = base;
+  Stage::Options o = stage_options_;
   o.sp_mode = options_.scan_sp;
   tscan_ = std::make_unique<TscanStage>(o, metrics_);
   o.sp_mode = options_.join_sp;

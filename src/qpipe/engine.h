@@ -54,10 +54,9 @@ struct QPipeOptions {
   /// reclamation granularity coarsen to the batch size.
   std::size_t sp_read_batch = 8;
 
-  /// Thresholds for SpMode::kAdaptive (per-packet off/push/pull choice),
-  /// applied to every stage running in adaptive mode. With enough
-  /// per-signature history these thresholds are superseded by the cost
-  /// model below; they remain the fallback for thin-history signatures.
+  /// Popularity gate for SpMode::kAdaptive, applied to every stage
+  /// running in adaptive mode: cold signatures execute unshared, hot ones
+  /// go to the cost model below.
   AdaptiveSpPolicy adaptive;
 
   /// Per-signature cost model (SpMode::kAdaptive): ring-buffer history
@@ -66,9 +65,9 @@ struct QPipeOptions {
   std::size_t cost_model_history = 32;
 
   /// Closed sessions AND work samples a signature needs before the cost
-  /// model decides for it; below this the stage-wide `adaptive`
-  /// thresholds decide. 0 is clamped to 1 (a model with no history
-  /// would divide by zero conceptually, not literally).
+  /// model decides for it; below this the signature is hosted pull (the
+  /// model's cold-start prior). 0 is clamped to 1 (a model with no
+  /// history would divide by zero conceptually, not literally).
   std::size_t cost_model_min_samples = 3;
 
   /// Log every cost-model decision (signature, cost estimates, chosen
@@ -258,6 +257,11 @@ class QPipeEngine {
     return io_scheduler_;
   }
 
+  /// The options every stage of this engine is built from (workers,
+  /// FIFO, batching, adaptive policy, cost model, governor) with
+  /// `sp_mode` kOff; auxiliary stages (CJOIN) start from these too.
+  const Stage::Options& stage_options() const { return stage_options_; }
+
   /// Reconfigures SP for all stages at run time (the demo GUI's
   /// per-stage SP checkboxes).
   void SetSpModeAllStages(SpMode mode);
@@ -323,6 +327,7 @@ class QPipeEngine {
   std::shared_ptr<IoScheduler> io_scheduler_;
   std::shared_ptr<SpBudgetGovernor> sp_governor_;
   std::unique_ptr<StatsReporter> stats_reporter_;
+  Stage::Options stage_options_;
   std::unique_ptr<TscanStage> tscan_;
   std::unique_ptr<JoinStage> join_;
   std::unique_ptr<AggStage> agg_;

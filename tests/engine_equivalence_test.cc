@@ -203,6 +203,43 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
+// EngineConfig carries every QPipeOptions knob: the spill tier's budget
+// and latency model reach the engine (and the CJOIN stage's sharing
+// sessions) through it, and spilling must not change results.
+TEST(EngineModeTest, GqpSpUnderSpillBudgetMatchesReference) {
+  auto* env = &EquivalenceEnv::Get();
+  EngineConfig config = ConfigFor(EngineMode::kGqpSp);
+  config.sp_memory_budget = 2;
+  config.sp_spill_write_latency_micros = 50;
+  config.sp_spill_read_latency_micros = 50;
+  SharingEngine engine(env->db(), config);
+  ASSERT_NE(engine.qpipe()->sp_governor(), nullptr);
+  EXPECT_EQ(engine.cjoin_stage()->sp_mode(), SpMode::kAdaptive);
+
+  auto before = env->db()->metrics()->Snapshot();
+  for (int round = 0; round < 3; ++round) {
+    std::vector<PlanNodeRef> plans;
+    for (int i = 0; i < 4; ++i) {
+      plans.push_back(ssb::ParameterizedStarPlan({.selectivity = 0.05,
+                                                  .num_variants = 2,
+                                                  .variant = i % 2}));
+    }
+    plans.push_back(tpch::MakeQ1Plan(90));
+    std::vector<QueryHandle> handles;
+    for (const auto& plan : plans) handles.push_back(engine.Submit(plan));
+    for (std::size_t i = 0; i < plans.size(); ++i) {
+      auto got = handles[i].Collect();
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      ExpectResultsEquivalent(env->Reference(plans[i]), got.value(),
+                              "round " + std::to_string(round));
+    }
+  }
+  auto delta =
+      MetricsRegistry::Delta(before, env->db()->metrics()->Snapshot());
+  EXPECT_GT(delta[metrics::kSpPagesSpilled], 0)
+      << "satellites collected after their host must overflow the budget";
+}
+
 TEST(EngineModeSwitchTest, ModeChangesAtRuntimeKeepCorrectness) {
   SharingEngine engine(EquivalenceEnv::Get().db(),
                        ConfigFor(EngineMode::kQueryCentric));

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <thread>
 
+#include "exec/explain.h"
 #include "exec/reference_executor.h"
 #include "qpipe/engine.h"
 #include "test_util.h"
@@ -257,6 +258,36 @@ TEST_F(QPipeTest, AdaptiveSharesHotQueriesAndSkipsColdOnes) {
             0)
       << "a repeated signature must be hosted on a sharing channel";
   EXPECT_GT(hot.sp_hits + hot_agg.sp_hits, 0);
+}
+
+TEST_F(QPipeTest, AdaptiveFirstHotAdmissionIsPullPrior) {
+  QPipeOptions options = QPipeOptions::AllSp(SpMode::kAdaptive);
+  QPipeEngine engine(db_->catalog(), options, db_->metrics());
+
+  // First sighting: the popularity gate runs it unshared.
+  auto first = engine.Execute(ScanPlan());
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_NE(first.value().explain(), nullptr);
+  ASSERT_EQ(first.value().explain()->stages.size(), 1u);
+  EXPECT_STREQ(first.value().explain()->stages[0].decided_by, "cold");
+
+  // The signature's first hot admission has no cost-model history: the
+  // model's cold-start prior hosts it pull.
+  auto second = engine.Execute(ScanPlan());
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  ASSERT_NE(second.value().explain(), nullptr);
+  ASSERT_EQ(second.value().explain()->stages.size(), 1u);
+  const auto& rec = second.value().explain()->stages[0];
+  EXPECT_EQ(rec.role, QueryExplain::StageRecord::Role::kHost);
+  EXPECT_STREQ(rec.transport, "pull");
+  EXPECT_STREQ(rec.decided_by, "prior");
+  EXPECT_FALSE(rec.spill_preferred);
+  EXPECT_EQ(rec.confidence, 0);
+
+  StageStats scan = engine.scan_stage()->GetStats();
+  EXPECT_EQ(scan.adaptive_off_cold, 1);
+  EXPECT_EQ(scan.adaptive_pull, 1);
+  EXPECT_EQ(scan.adaptive_push, 0);
 }
 
 TEST_F(QPipeTest, AdaptivePopularityLruKeepsHotSignaturesUnderColdChurn) {

@@ -2,8 +2,8 @@
 // SpBudgetGovernor's spill/unspill round trip, graceful degradation on an
 // unusable spill store, the engine-level budget acceptance criterion
 // (stalled reader: in-memory retention <= budget, bit-exact fault-back,
-// all spill bytes freed after drain), and the adaptive policy's
-// pull+spill preference.
+// all spill bytes freed after drain), and the cost model's pull+spill
+// admission reaching the stage stats and explain.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +13,7 @@
 #include <cstring>
 #include <thread>
 
+#include "exec/explain.h"
 #include "qpipe/engine.h"
 #include "qpipe/sharing_channel.h"
 #include "storage/disk_manager.h"
@@ -343,61 +344,80 @@ TEST_F(SpillEngineTest, CancelledStalledReaderFreesSpill) {
 }
 
 // ---------------------------------------------------------------------------
-// Adaptive policy: pull+spill preference
+// Adaptive admission: the cost model's pull+spill preference
 // ---------------------------------------------------------------------------
 
-TEST_F(SpillEngineTest, AdaptivePrefersPullSpillWhenRetentionExceedsBudget) {
-  // Every classic pull trigger is parked out of reach, so only the spill
-  // preference can choose pull once history exists.
-  QPipeOptions options = QPipeOptions::AllSp(SpMode::kAdaptive);
-  options.adaptive.pull_satellite_threshold = 1e12;
-  options.adaptive.pull_pages_threshold = 1e12;
-  options.adaptive.pull_lag_threshold = 1e12;
-  // Deep FIFOs keep the capped-lag convoy rule (threshold = capacity) out
-  // of reach, so the decision isolates the spill preference.
-  options.fifo_capacity = 4096;
-  options.sp_memory_budget = 4;
-  QPipeEngine engine(db_->catalog(), options, db_->metrics());
-
-  // Session 1 (no history -> pull): the submit-then-collect pattern keeps
-  // the host's own reader behind production, so the closing stats record
-  // an uncapped lag far above the 4-page budget.
-  QueryHandle h1 = engine.Submit(ScanPlan());
-  QueryHandle h2 = engine.Submit(ScanPlan());
-  ASSERT_TRUE(h1.Collect().ok());
-  ASSERT_TRUE(h2.Collect().ok());
-  AwaitProduction();
-
-  // Session 2: history predicts retention above budget -> pull + spill.
-  QueryHandle h3 = engine.Submit(ScanPlan());
-  ASSERT_TRUE(h3.Collect().ok());
-  StageStats scan = engine.scan_stage()->GetStats();
-  EXPECT_GT(scan.adaptive_pull_spill, 0)
-      << "predicted retention above budget must be admitted pull+spill";
-  EXPECT_EQ(scan.adaptive_push, 0);
+/// Rounds of `queries` identical scans submitted together and collected in
+/// order: the first hosts, the rest attach and stall until it drains, so
+/// every session closes with the host's whole result retained (and the
+/// capped lag at the FIFO capacity, which prices push with a convoy).
+/// Returns the scan-stage explain records of every query, in order.
+std::vector<QueryExplain::StageRecord> RunStalledRounds(QPipeEngine& engine,
+                                                        PlanNodeRef plan,
+                                                        int rounds,
+                                                        int queries) {
+  std::vector<QueryExplain::StageRecord> records;
+  for (int round = 0; round < rounds; ++round) {
+    std::vector<QueryHandle> handles;
+    for (int q = 0; q < queries; ++q) handles.push_back(engine.Submit(plan));
+    for (auto& h : handles) {
+      auto got = h.Collect();
+      EXPECT_TRUE(got.ok()) << got.status().ToString();
+      if (!got.ok() || got.value().explain() == nullptr) continue;
+      for (const auto& rec : got.value().explain()->stages) {
+        if (rec.stage == "TSCAN") records.push_back(rec);
+      }
+    }
+  }
+  return records;
 }
 
-TEST_F(SpillEngineTest, WithoutGovernorSameHistoryFallsBackToPush) {
+TEST_F(SpillEngineTest, AdaptiveModelSpillDecisionReachesStatsAndExplain) {
   QPipeOptions options = QPipeOptions::AllSp(SpMode::kAdaptive);
-  options.adaptive.pull_satellite_threshold = 1e12;
-  options.adaptive.pull_pages_threshold = 1e12;
-  options.adaptive.pull_lag_threshold = 1e12;
-  options.fifo_capacity = 4096;
-  // No sp_memory_budget: the spill preference is inert.
+  options.cost_model_min_samples = 2;
+  // Below the scan's ~74-page result but close to it: the overflow's
+  // spill round trips stay cheaper than push's convoy whatever the
+  // measured per-page copy cost is.
+  options.sp_memory_budget = 48;
   QPipeEngine engine(db_->catalog(), options, db_->metrics());
 
-  QueryHandle h1 = engine.Submit(ScanPlan());
-  QueryHandle h2 = engine.Submit(ScanPlan());
-  ASSERT_TRUE(h1.Collect().ok());
-  ASSERT_TRUE(h2.Collect().ok());
-  AwaitProduction();
-
-  QueryHandle h3 = engine.Submit(ScanPlan());
-  ASSERT_TRUE(h3.Collect().ok());
+  // Every session retains the whole scan result, above the budget, and
+  // its satellites lag past the FIFO capacity: the model prices push with
+  // a convoy and pull with spill round trips for the overflow, and hosts
+  // pull + spill.
+  const auto records = RunStalledRounds(engine, ScanPlan(), 6, 8);
   StageStats scan = engine.scan_stage()->GetStats();
-  EXPECT_EQ(scan.adaptive_pull_spill, 0);
-  EXPECT_GT(scan.adaptive_push, 0)
-      << "without a governor the capped-lag history chooses push";
+  EXPECT_GT(scan.adaptive_pull_spill, 0)
+      << engine.scan_stage()->CostModelDump();
+  EXPECT_LE(scan.adaptive_pull_spill, scan.adaptive_pull);
+
+  int64_t explained = 0;
+  for (const auto& rec : records) {
+    if (!rec.spill_preferred) continue;
+    EXPECT_STREQ(rec.decided_by, "model");
+    EXPECT_STREQ(rec.transport, "pull");
+    EXPECT_EQ(rec.role, QueryExplain::StageRecord::Role::kHost);
+    ++explained;
+  }
+  EXPECT_EQ(explained, scan.adaptive_pull_spill)
+      << "every spill-preferred admission must be visible in explain";
+}
+
+TEST_F(SpillEngineTest, AdaptiveWithoutGovernorNeverPrefersSpill) {
+  QPipeOptions options = QPipeOptions::AllSp(SpMode::kAdaptive);
+  options.cost_model_min_samples = 2;
+  // No sp_memory_budget: no budget for the retention forecast to exceed.
+  QPipeEngine engine(db_->catalog(), options, db_->metrics());
+
+  const auto records = RunStalledRounds(engine, ScanPlan(), 6, 8);
+  auto snaps = engine.scan_stage()->CostModelSnapshot();
+  ASSERT_EQ(snaps.size(), 1u);
+  EXPECT_GT(snaps[0].decided_off + snaps[0].decided_push +
+                snaps[0].decided_pull,
+            0)
+      << "the same history must reach the cost model";
+  EXPECT_EQ(engine.scan_stage()->GetStats().adaptive_pull_spill, 0);
+  for (const auto& rec : records) EXPECT_FALSE(rec.spill_preferred);
 }
 
 }  // namespace
