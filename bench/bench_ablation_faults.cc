@@ -13,7 +13,8 @@
 //      imposes on innocent sites — reported, not gated; faults are a
 //      test facility)
 //   3. ns per SPL page append+drain (the realistic unit of hot-path work
-//      a check rides on)
+//      a check rides on): one page per AppendBatch, so every page pays
+//      its own append, drained in engine-sized reader batches
 //
 // Gate (exit 1 on breach): disarmed_check_ns / append_ns_per_page < 2%.
 //
@@ -24,9 +25,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <thread>
+#include <vector>
 
 #include "bench_common.h"
 #include "common/fault.h"
+#include "qpipe/batch_pipe.h"
 #include "qpipe/shared_pages_list.h"
 
 using namespace sharing;
@@ -79,11 +82,15 @@ double NsPerAppend(MetricsSnapshot* out_snap) {
     auto reader = list->AttachReader();
     std::size_t drained = 0;
     std::thread consumer([&] {
-      while (reader->Next() != nullptr) ++drained;
+      std::vector<PageRef> got;
+      while (reader->NextBatch(kTransportBatch, &got) > 0) {
+        drained += got.size();
+        got.clear();
+      }
     });
     const auto t0 = std::chrono::steady_clock::now();
     for (std::size_t p = 0; p < kPages; ++p) {
-      list->Append(MakePage(static_cast<int64_t>(p)));
+      list->AppendBatch({MakePage(static_cast<int64_t>(p))});
     }
     list->Close(Status::OK());
     consumer.join();

@@ -85,7 +85,7 @@ void BM_PullFanout(benchmark::State& state) {
       });
     }
     for (int p = 0; p < pages; ++p) {
-      spl->Append(source);  // shared: no copy
+      spl->AppendBatch({source});  // shared: no copy
     }
     spl->Close(Status::OK());
     for (auto& t : threads) t.join();

@@ -53,11 +53,13 @@ uint64_t HashCanonical(const std::string& s) {
 }
 
 uint64_t PlanNode::Signature() const {
-  if (cached_signature_ == 0) {
-    cached_signature_ = HashCanonical(Canonical());
-    if (cached_signature_ == 0) cached_signature_ = 1;
+  uint64_t sig = cached_signature_.load();
+  if (sig == 0) {
+    sig = HashCanonical(Canonical());
+    if (sig == 0) sig = 1;
+    cached_signature_.store(sig);
   }
-  return cached_signature_;
+  return sig;
 }
 
 // ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@
 
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -84,7 +85,9 @@ class PlanNode {
   PlanKind kind_;
   Schema output_schema_;
   std::vector<PlanNodeRef> children_;
-  mutable uint64_t cached_signature_ = 0;
+  /// Lazily computed; concurrent submitters of one plan may race to fill
+  /// it, all with the same value.
+  mutable std::atomic<uint64_t> cached_signature_{0};
 };
 
 class ScanNode final : public PlanNode {

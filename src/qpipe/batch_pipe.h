@@ -1,13 +1,14 @@
 // Batch adapters between packet operators (which move one page at a
-// time) and the sharing transports (whose batched APIs amortize one lock
-// acquisition — or one SPL publication + wake sweep — over a run of
-// pages).
+// time) and the sharing transports, whose only primitive is the batch:
+// one lock acquisition (FIFO) — or one SPL publication + wake seed —
+// covers a run of pages.
 //
-// Operators keep their page-at-a-time loops; the Stage wraps a packet's
-// inputs in BatchingSource and its output in BatchingSink when
-// `sp_read_batch` > 1. The adapters are packet-local (exactly one
+// Operators keep their page-at-a-time loops; Stage::Enqueue wraps every
+// packet input in a BatchingSource and its output in a BatchingSink of
+// kTransportBatch pages. The adapters are packet-local (exactly one
 // operator thread touches them), so they carry no locks of their own —
-// all concurrency lives in the wrapped transport.
+// all concurrency lives in the wrapped transport. They are the only
+// classes that override PageSource::Next / PageSink::Put.
 //
 // Semantics preserved, granularity coarsened:
 //  * BatchingSource::Next blocks exactly when the underlying source
@@ -30,6 +31,9 @@
 #include "exec/page_stream.h"
 
 namespace sharing {
+
+/// Pages a packet moves per transport call.
+inline constexpr std::size_t kTransportBatch = 8;
 
 class BatchingSource final : public PageSource {
  public:

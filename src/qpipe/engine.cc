@@ -3,6 +3,7 @@
 #include "common/fault.h"
 #include "common/logging.h"
 #include "common/trace.h"
+#include "qpipe/batch_pipe.h"
 #include "server/admin_server.h"
 #include "server/watchdog.h"
 
@@ -14,14 +15,18 @@ StatusOr<ResultSet> QueryHandle::Collect() {
   const uint64_t sig = plan_->Signature();
   TraceSpan collect_span("engine", "query.collect", qid, sig);
   ResultSet result(schema());
-  while (PageRef page = root_->Next()) {
-    if (ctx_->StopRequested()) {
-      // The collector is the last boundary a deadline can stop at; a
-      // partial result is discarded, never returned as if complete.
-      root_->CancelConsumer();
-      return ctx_->TerminalStatus();
+  std::vector<PageRef> batch;
+  while (root_->NextBatch(kTransportBatch, &batch) > 0) {
+    for (const PageRef& page : batch) {
+      if (ctx_->StopRequested()) {
+        // The collector is the last boundary a deadline can stop at; a
+        // partial result is discarded, never returned as if complete.
+        root_->CancelConsumer();
+        return ctx_->TerminalStatus();
+      }
+      result.AppendPage(*page);
     }
-    result.AppendPage(*page);
+    batch.clear();
   }
   Status st = root_->FinalStatus();
   if (!st.ok()) {
@@ -73,6 +78,9 @@ QPipeEngine::QPipeEngine(Catalog* catalog, QPipeOptions options,
     SHARING_CHECK(fault_st.ok())
         << "bad fault_spec: " << fault_st.ToString();
   }
+  SHARING_CHECK(options_.io_threads > 0)
+      << "io_threads must be at least 1 (the engine always runs its I/O "
+         "scheduler)";
   if (options_.stats_report_period_ms > 0) {
     StatsReporter::Options ropts;
     ropts.metrics = metrics_;
@@ -80,14 +88,12 @@ QPipeEngine::QPipeEngine(Catalog* catalog, QPipeOptions options,
     ropts.path = options_.stats_report_path;
     stats_reporter_ = std::make_unique<StatsReporter>(std::move(ropts));
   }
-  if (options_.io_threads > 0) {
-    IoScheduler::Options iopts;
-    iopts.threads = options_.io_threads;
-    iopts.budget_mib_per_sec = options_.io_budget_mib;
-    iopts.retry_limit = options_.io_retry_limit;
-    iopts.metrics = metrics_;
-    io_scheduler_ = std::make_shared<IoScheduler>(iopts);
-  }
+  IoScheduler::Options iopts;
+  iopts.threads = options_.io_threads;
+  iopts.budget_mib_per_sec = options_.io_budget_mib;
+  iopts.retry_limit = options_.io_retry_limit;
+  iopts.metrics = metrics_;
+  io_scheduler_ = std::make_shared<IoScheduler>(iopts);
   if (options_.sp_memory_budget > 0) {
     SpBudgetGovernor::Options gopts;
     gopts.budget_pages = options_.sp_memory_budget;
@@ -103,7 +109,6 @@ QPipeEngine::QPipeEngine(Catalog* catalog, QPipeOptions options,
   stage_options_.initial_workers = options_.stage_workers;
   stage_options_.max_workers = options_.stage_max_workers;
   stage_options_.fifo_capacity = options_.fifo_capacity;
-  stage_options_.sp_read_batch = options_.sp_read_batch;
   stage_options_.adaptive = options_.adaptive;
   stage_options_.cost_model.history = options_.cost_model_history;
   stage_options_.cost_model.min_samples = options_.cost_model_min_samples;
@@ -159,12 +164,10 @@ QPipeEngine::QPipeEngine(Catalog* catalog, QPipeOptions options,
     };
     inspector.io_queue_depths = [this] {
       std::vector<std::size_t> depths;
-      if (io_scheduler_ != nullptr) {
-        depths.reserve(kIoPriorityClasses);
-        for (std::size_t cls = 0; cls < kIoPriorityClasses; ++cls) {
-          depths.push_back(
-              io_scheduler_->QueueDepth(static_cast<IoPriority>(cls)));
-        }
+      depths.reserve(kIoPriorityClasses);
+      for (std::size_t cls = 0; cls < kIoPriorityClasses; ++cls) {
+        depths.push_back(
+            io_scheduler_->QueueDepth(static_cast<IoPriority>(cls)));
       }
       return depths;
     };
@@ -236,7 +239,7 @@ QPipeEngine::~QPipeEngine() {
   // scheduler by shared_ptr and fall back to synchronous I/O once
   // Submit starts returning nullptr, so the remaining members can be
   // destroyed in any order.
-  if (io_scheduler_ != nullptr) io_scheduler_->Shutdown();
+  io_scheduler_->Shutdown();
   // Last: the reporter's final snapshot then sees every shutdown-path
   // metric (dropped I/O jobs, final reclamations).
   if (stats_reporter_ != nullptr) stats_reporter_->Stop();

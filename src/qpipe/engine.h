@@ -46,14 +46,6 @@ struct QPipeOptions {
   /// FIFO capacity in pages.
   std::size_t fifo_capacity = FifoBuffer::kDefaultCapacity;
 
-  /// Pages a packet moves per sharing-transport call (batched
-  /// SplReader::NextBatch / FifoBuffer::PushBatch/PopBatch, wired via
-  /// per-packet batch adapters): one lock acquisition — or one SPL
-  /// publication and parked-reader wake sweep — is amortized over up to
-  /// this many pages. 0 or 1 = page-at-a-time. Consumer-lag and
-  /// reclamation granularity coarsen to the batch size.
-  std::size_t sp_read_batch = 8;
-
   /// Popularity gate for SpMode::kAdaptive, applied to every stage
   /// running in adaptive mode: cold signatures execute unshared, hot ones
   /// go to the cost model below.
@@ -91,9 +83,9 @@ struct QPipeOptions {
   /// Latency model charged on spill fault-back reads; 0 = none.
   uint32_t sp_spill_read_latency_micros = 0;
 
-  /// I/O scheduler worker threads. 0 disables the scheduler entirely:
-  /// spill writes run synchronously in the producer path and scans read
-  /// page-at-a-time (the pre-IoScheduler behavior).
+  /// I/O scheduler worker threads; at least 1 (0 fails engine
+  /// construction). Spill writes, fault-backs and scan prefetch all run
+  /// through the engine's scheduler.
   std::size_t io_threads = 2;
 
   /// Per-priority-class token-bucket budget in MiB/s (scan-prefetch,
@@ -251,14 +243,13 @@ class QPipeEngine {
     return sp_governor_;
   }
 
-  /// The engine-wide async I/O scheduler; null when
-  /// QPipeOptions::io_threads is 0.
+  /// The engine-wide async I/O scheduler.
   const std::shared_ptr<IoScheduler>& io_scheduler() const {
     return io_scheduler_;
   }
 
   /// The options every stage of this engine is built from (workers,
-  /// FIFO, batching, adaptive policy, cost model, governor) with
+  /// FIFO, adaptive policy, cost model, governor) with
   /// `sp_mode` kOff; auxiliary stages (CJOIN) start from these too.
   const Stage::Options& stage_options() const { return stage_options_; }
 

@@ -45,26 +45,6 @@ std::size_t SharedPagesList::AppendOneLocked(PageRef page) {
   return pos + 1;
 }
 
-std::size_t SharedPagesList::Append(PageRef page) {
-  std::size_t total;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (closed_.load(std::memory_order_relaxed)) return 0;
-    if (NoObserversLocked()) {
-      // Everyone who was (or could ever be) interested has walked away.
-      return 0;
-    }
-    total = AppendOneLocked(std::move(page));
-  }
-  if (governor_ != nullptr) governor_->OnPagesRetained(1);
-  WakeFrontierParked(1);  // seed the chained wakeup (O(1) for the producer)
-  // Budget enforcement happens with no list lock held: the governor may
-  // shed this list's pages, another channel's drained history, or (last
-  // resort) our unread tail — see SpBudgetGovernor::Rebalance.
-  if (governor_ != nullptr) governor_->Rebalance(this);
-  return total;
-}
-
 std::size_t SharedPagesList::AppendBatch(std::vector<PageRef> pages) {
   if (pages.empty()) {
     return closed_.load(std::memory_order_acquire) ? 0 : TotalAppended();
@@ -73,11 +53,15 @@ std::size_t SharedPagesList::AppendBatch(std::vector<PageRef> pages) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (closed_.load(std::memory_order_relaxed)) return 0;
+    // Everyone who was (or could ever be) interested has walked away.
     if (NoObserversLocked()) return 0;
     for (PageRef& page : pages) total = AppendOneLocked(std::move(page));
   }
   if (governor_ != nullptr) governor_->OnPagesRetained(pages.size());
   WakeFrontierParked(1);  // seed the chained wakeup (O(1) for the producer)
+  // Budget enforcement happens with no list lock held: the governor may
+  // shed this list's pages, another channel's drained history, or (last
+  // resort) our unread tail — see SpBudgetGovernor::Rebalance.
   if (governor_ != nullptr) governor_->Rebalance(this);
   return total;
 }
@@ -438,32 +422,6 @@ void SplReader::AdvanceTo(std::size_t next) {
   }
 }
 
-PageRef SplReader::Next() {
-  if (state_->cancelled.load(std::memory_order_relaxed)) return nullptr;
-  for (;;) {
-    const std::size_t pos = cursor_;
-    std::size_t published = list_->published_.load(std::memory_order_acquire);
-    if (pos < published) {
-      SharedPagesList::Slot& slot = SlotFor(pos);
-      if (PageRef page = slot.page.load(std::memory_order_acquire)) {
-        // The lock-free fast path: published resident page, no mutex.
-        AdvanceTo(pos + 1);
-        return page;
-      }
-      return SlowResolve(pos);
-    }
-    if (list_->closed_.load(std::memory_order_acquire)) {
-      // Re-check publication AFTER observing the close: the producer's
-      // final appends are ordered before its closed_ store, so this
-      // second load cannot miss them.
-      published = list_->published_.load(std::memory_order_acquire);
-      if (pos >= published) return nullptr;
-      continue;
-    }
-    if (!ParkUntilReady()) return nullptr;
-  }
-}
-
 std::size_t SplReader::NextBatch(std::size_t max_pages,
                                  std::vector<PageRef>* out) {
   if (max_pages == 0 || state_->cancelled.load(std::memory_order_relaxed)) {
@@ -681,7 +639,7 @@ void SplReader::Cancel() {
   }
   list_->active_readers_.fetch_sub(1, std::memory_order_acq_rel);
   // A cancel may arrive from another thread while this reader is parked
-  // in Next(): wake it so it observes the cancellation.
+  // in NextBatch(): wake it so it observes the cancellation.
   {
     { std::lock_guard<std::mutex> sync(state_->wait_mutex); }
     state_->wait_cv.notify_all();

@@ -14,8 +14,8 @@
 //  * Publication is seqlock-style: the producer fills an immutable slot
 //    and then advances the atomic published count (`published_`, release
 //    on store). A reader gates on `published_` (acquire) and reads the
-//    slot with NO lock — `SplReader::Next`/`NextBatch` on a resident,
-//    already-published page never touches the list mutex. Slots live in
+//    slot with NO lock — `SplReader::NextBatch` over resident,
+//    already-published pages never touches the list mutex. Slots live in
 //    fixed-size segments linked by atomic next pointers; each reader
 //    holds a shared_ptr to its current segment, so reclamation can drop
 //    head segments without synchronizing with readers.
@@ -24,8 +24,8 @@
 //    reader either wins the load (and the resident page stays alive
 //    through its reference) or observes null and takes the slow path.
 //  * The list mutex is only taken on slow paths: attach/detach, spill
-//    fault-back, reclamation, close/seal, and the producer's append
-//    bookkeeping (`sp.lock_waits` counts reader slow paths).
+//    fault-back, reclamation, close/seal, and the producer's
+//    AppendBatch bookkeeping (`sp.lock_waits` counts reader slow paths).
 //  * Blocked readers park on their OWN mutex/condvar (`ReaderState`), not
 //    a shared broadcast (`sp.reader_parks` counts parks; a short spin
 //    precedes the park on multicore hosts). On append the producer seeds
@@ -54,7 +54,7 @@
 //    (ShedForBudget): drained and already-consumed pages anywhere spill
 //    first — an idle channel's cold history beats thrashing the active
 //    producer's fresh pages — and the I/O runs outside the list lock.
-//    A spilled page faults back bit-exactly on Next(); once every reader
+//    A spilled page faults back bit-exactly on read; once every reader
 //    passes it, reclamation deletes it unread. Spilling never needs the
 //    window sealed: a late attacher is served spilled history via
 //    fault-back.
@@ -115,17 +115,13 @@ class SharedPagesList
 
   SHARING_DISALLOW_COPY_AND_MOVE(SharedPagesList);
 
-  /// Producer: appends a page (no copy — all readers share it). Returns
-  /// the total pages appended so far, or 0 when no reader can ever
-  /// observe it (every reader cancelled, or the window is sealed with
-  /// none attached), signalling the producer to stop early. May spill
-  /// retained pages when the governor reports budget pressure.
-  std::size_t Append(PageRef page);
-
-  /// Batched append: publishes all pages with one bookkeeping pass, one
-  /// parked-reader wake sweep, and one governor rebalance. Same return
-  /// contract as Append (0 = nobody can ever observe the pages, nothing
-  /// was appended).
+  /// Producer: appends `pages` (no copy — all readers share them) with
+  /// one bookkeeping pass, one parked-reader wake seed and one governor
+  /// rebalance. Returns the total pages appended so far, or 0 when no
+  /// reader can ever observe them (every reader cancelled, or the window
+  /// is sealed with none attached) and nothing was appended, signalling
+  /// the producer to stop early. May spill retained pages when the
+  /// governor reports budget pressure.
   std::size_t AppendBatch(std::vector<PageRef> pages);
 
   /// Producer: seals the list with a terminal status and wakes every
@@ -136,7 +132,7 @@ class SharedPagesList
   /// makes page reclamation safe (no future reader can need the history).
   /// Idempotent; typically invoked by the owning channel at Close. Does
   /// NOT wake parked readers — sealing changes no read predicate; only
-  /// Close (end-of-list) and Append (new page) do.
+  /// Close (end-of-list) and AppendBatch (new pages) do.
   void SealAttachWindow();
 
   /// Attaches a reader starting at the first page. Returns nullptr when
@@ -330,7 +326,7 @@ class SharedPagesList
   std::size_t AppendOneLocked(PageRef page);
 
   /// True when no present or future reader can observe an append (the
-  /// Append/AppendBatch early-stop contract). Requires mutex_ held.
+  /// AppendBatch early-stop contract). Requires mutex_ held.
   bool NoObserversLocked() const {
     return active_readers_.load(std::memory_order_relaxed) == 0 &&
            (ever_attached_ > 0 || sealed_.load(std::memory_order_relaxed));
@@ -422,19 +418,15 @@ class SplReader final : public PageSource {
   }
   SHARING_DISALLOW_COPY_AND_MOVE(SplReader);
 
-  /// Blocks for the page at this reader's cursor; nullptr at end-of-list.
-  /// Lock-free on a resident, already-published page. A spilled page is
-  /// faulted back from the governor's store (bit-exact reconstruction,
-  /// charged to sp.unspill_reads) — through the I/O scheduler's
-  /// kFaultBack class when one is configured, which also readaheads the
-  /// *next* slot if it is already spilled, so a sequential reader
-  /// overlaps fault-back latency with consumption.
-  PageRef Next() override;
-
-  /// Batched pull: up to `max_pages` already-published resident pages
-  /// with ONE cursor publication (and at most one reclamation probe).
-  /// Blocks like Next() when nothing is available; returns 0 only at
-  /// end-of-list (or after a fault-back error / cancel).
+  /// Up to `max_pages` already-published pages with ONE cursor
+  /// publication (and at most one reclamation probe); lock-free over
+  /// resident pages. Blocks when nothing is available; returns 0 only at
+  /// end-of-list (or after a fault-back error / cancel). A spilled page
+  /// is delivered alone, faulted back from the governor's store
+  /// (bit-exact reconstruction, charged to sp.unspill_reads) — through
+  /// the I/O scheduler's kFaultBack class when one is configured, which
+  /// also readaheads the *next* slot if it is already spilled, so a
+  /// sequential reader overlaps fault-back latency with consumption.
   std::size_t NextBatch(std::size_t max_pages,
                         std::vector<PageRef>* out) override;
 
@@ -508,8 +500,8 @@ class SplReader final : public PageSource {
   /// read, then only called from this reader's own thread.
   std::function<Status()> stop_check_;
   /// In-flight readahead of the next spilled slot. Touched only by this
-  /// reader's own Next()/destructor (readers are single-consumer), so it
-  /// needs no lock of its own.
+  /// reader's own NextBatch()/destructor (readers are single-consumer),
+  /// so it needs no lock of its own.
   std::size_t prefetch_pos_ = static_cast<std::size_t>(-1);
   IoTicketRef prefetch_ticket_;
   std::shared_ptr<std::optional<StatusOr<PageRef>>> prefetch_out_;

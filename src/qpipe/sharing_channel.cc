@@ -31,15 +31,14 @@ int64_t NowNanos() {
 
 /// Shared production-time lag sampling: every few pages the producer
 /// records how far the slowest reader trails it. Callers guard `max`
-/// with their own mutex. One copy of the policy so every transport
-/// (push, pull, and the future spill/NUMA/remote channels) measures the
-/// same signal the adaptive admission thresholds are calibrated to.
+/// with their own mutex. One copy of the policy so both transports feed
+/// the cost model's lag signal the same measurement.
 struct LagSampler {
   static constexpr std::size_t kEvery = 8;
 
   /// Did the production count cross a sampling boundary going from
-  /// `prev` to `now`? (Batched puts advance by several pages at once, so
-  /// the check is a window crossing, not `now % kEvery == 0`.)
+  /// `prev` to `now`? (A put advances by a whole batch at once, so the
+  /// check is a window crossing, not `now % kEvery == 0`.)
   static bool ShouldSample(std::size_t prev, std::size_t now) {
     return now / kEvery > prev / kEvery;
   }
@@ -57,9 +56,9 @@ struct LagSampler {
 // PushChannel: the push-model tee. The first attached reader is the host's
 // own consumer and receives the original page; every later reader is a
 // satellite fed a deep copy. All copies run in the producer thread — this
-// loop is the serialization point the paper's pull model removes. Batched
-// puts amortize one FIFO lock acquisition per satellite over the whole
-// run (FifoBuffer::PushBatch) instead of paying it per page.
+// loop is the serialization point the paper's pull model removes. Each
+// put pays one FIFO lock acquisition per satellite for the whole batch
+// (FifoBuffer::PutBatch) instead of one per page.
 // ---------------------------------------------------------------------------
 
 class PushChannel final : public SharingChannel {
@@ -79,44 +78,6 @@ class PushChannel final : public SharingChannel {
     TRACE_EVENT("sharing", "push.attach", options_.query_id,
                 options_.signature);
     return fifo;
-  }
-
-  bool Put(PageRef page) override {
-    // Dedicated single-page path: unlike PutBatch it allocates nothing
-    // beyond the satellite deep copies, so page-at-a-time configurations
-    // (sp_read_batch <= 1) keep their pre-batching cost.
-    if (SHARING_FAULT_POINT(fault_points::kSharingAppend)) {
-      Close(InjectedAppendFault());
-      return false;
-    }
-    TraceSpan span("sharing", "push.put", options_.query_id,
-                   options_.signature);
-    std::vector<std::shared_ptr<FifoBuffer>> readers;
-    const FifoBuffer* host;
-    std::size_t produced;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (closed_) return false;
-      window_open_ = false;  // first emission closes the attach window
-      produced = ++pages_produced_;
-      readers = readers_;
-      host = host_;
-    }
-    bool any = false;
-    std::vector<const FifoBuffer*> dead;
-    for (std::size_t i = 0; i < readers.size(); ++i) {
-      PageRef out =
-          readers[i].get() == host ? page : CopyForSatellite(*page);
-      if (readers[i]->Put(std::move(out))) {
-        any = true;
-      } else {
-        dead.push_back(readers[i].get());
-      }
-    }
-    FinishPut(readers, dead, produced - 1, produced);
-    span.AddArg("pages", 1);
-    span.AddArg("readers", static_cast<int64_t>(readers.size()));
-    return any;
   }
 
   bool PutBatch(std::vector<PageRef> pages) override {
@@ -157,13 +118,36 @@ class PushChannel final : public SharingChannel {
           batch.push_back(CopyForSatellite(*page));
         }
       }
-      if (readers[i]->PushBatch(batch)) {
+      if (readers[i]->PutBatch(std::move(batch))) {
         any = true;
       } else {
         dead.push_back(readers[i].get());
       }
     }
-    FinishPut(readers, dead, prev_produced, produced);
+    // Prune readers that reported a dead consumer, and take the
+    // production-time lag sample when the batch crossed a sampling
+    // boundary — from the slowest *surviving* reader (a dead reader's
+    // frozen position would inflate the signal the cost model consumes).
+    if (!dead.empty()) {
+      std::lock_guard<std::mutex> lock(mutex_);
+      std::erase_if(readers_, [&](const std::shared_ptr<FifoBuffer>& r) {
+        return std::find(dead.begin(), dead.end(), r.get()) != dead.end();
+      });
+      if (std::find(dead.begin(), dead.end(), host_) != dead.end()) {
+        host_ = nullptr;  // never compare against a freed FIFO
+      }
+    }
+    if (LagSampler::ShouldSample(prev_produced, produced)) {
+      std::size_t min_delivered = produced;
+      for (const auto& reader : readers) {
+        if (std::find(dead.begin(), dead.end(), reader.get()) != dead.end()) {
+          continue;
+        }
+        min_delivered = std::min(min_delivered, reader->PagesDelivered());
+      }
+      std::lock_guard<std::mutex> lock(mutex_);
+      lag_.Update(produced, min_delivered);
+    }
     span.AddArg("pages", static_cast<int64_t>(produced - prev_produced));
     span.AddArg("readers", static_cast<int64_t>(readers.size()));
     return any;
@@ -248,36 +232,6 @@ class PushChannel final : public SharingChannel {
     return copy;
   }
 
-  /// Shared Put/PutBatch epilogue: prune readers that reported a dead
-  /// consumer, and take the production-time lag sample when the batch
-  /// crossed a sampling boundary — from the slowest *surviving* reader
-  /// (a dead reader's frozen position would inflate the signal the
-  /// adaptive policy consumes).
-  void FinishPut(const std::vector<std::shared_ptr<FifoBuffer>>& readers,
-                 const std::vector<const FifoBuffer*>& dead,
-                 std::size_t prev_produced, std::size_t produced) {
-    if (!dead.empty()) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      std::erase_if(readers_, [&](const std::shared_ptr<FifoBuffer>& r) {
-        return std::find(dead.begin(), dead.end(), r.get()) != dead.end();
-      });
-      if (std::find(dead.begin(), dead.end(), host_) != dead.end()) {
-        host_ = nullptr;  // never compare against a freed FIFO
-      }
-    }
-    if (LagSampler::ShouldSample(prev_produced, produced)) {
-      std::size_t min_delivered = produced;
-      for (const auto& reader : readers) {
-        if (std::find(dead.begin(), dead.end(), reader.get()) != dead.end()) {
-          continue;
-        }
-        min_delivered = std::min(min_delivered, reader->PagesDelivered());
-      }
-      std::lock_guard<std::mutex> lock(mutex_);
-      lag_.Update(produced, min_delivered);
-    }
-  }
-
   SharingChannelOptions options_;
   Counter* pages_copied_;
   Counter* bytes_copied_;
@@ -300,7 +254,7 @@ class PushChannel final : public SharingChannel {
 // PullChannel: the Shared Pages List behind the channel interface. Close
 // seals the SPL's attach window, which both matches the stage's session
 // lifetime (the registry entry is dropped at close) and arms page
-// reclamation. Batched puts publish the whole run with one SPL
+// reclamation. Each put publishes its whole batch with one SPL
 // bookkeeping pass (AppendBatch).
 // ---------------------------------------------------------------------------
 
@@ -324,20 +278,6 @@ class PullChannel final : public SharingChannel {
     return reader;
   }
 
-  bool Put(PageRef page) override {
-    if (SHARING_FAULT_POINT(fault_points::kSharingAppend)) {
-      Close(InjectedAppendFault());
-      return false;
-    }
-    TraceSpan span("sharing", "pull.put", options_.query_id,
-                   options_.signature);
-    span.AddArg("pages", 1);
-    std::size_t produced = spl_->Append(std::move(page));
-    if (produced == 0) return false;
-    SampleLag(produced - 1, produced);
-    return true;
-  }
-
   bool PutBatch(std::vector<PageRef> pages) override {
     if (pages.empty()) return !spl_->closed();
     if (SHARING_FAULT_POINT(fault_points::kSharingAppend)) {
@@ -350,7 +290,11 @@ class PullChannel final : public SharingChannel {
     span.AddArg("pages", static_cast<int64_t>(count));
     std::size_t produced = spl_->AppendBatch(std::move(pages));
     if (produced == 0) return false;
-    SampleLag(produced - count, produced);
+    if (LagSampler::ShouldSample(produced - count, produced)) {
+      std::size_t min_pos = spl_->MinReaderPosition();
+      std::lock_guard<std::mutex> lock(close_mutex_);
+      lag_.Update(produced, min_pos);
+    }
     return true;
   }
 
@@ -417,13 +361,6 @@ class PullChannel final : public SharingChannel {
   SpMode mode() const override { return SpMode::kPull; }
 
  private:
-  void SampleLag(std::size_t prev_produced, std::size_t produced) {
-    if (!LagSampler::ShouldSample(prev_produced, produced)) return;
-    std::size_t min_pos = spl_->MinReaderPosition();
-    std::lock_guard<std::mutex> lock(close_mutex_);
-    lag_.Update(produced, min_pos);
-  }
-
   SharingChannelOptions options_;
   std::shared_ptr<SharedPagesList> spl_;
   mutable std::mutex close_mutex_;

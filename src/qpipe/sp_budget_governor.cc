@@ -275,8 +275,8 @@ SpilledPageRef SpBudgetGovernor::Spill(const RowPage& page) {
     if (!st.ok()) {
       // Latch off, exactly like a creation failure: a full spill
       // filesystem does not heal mid-run, and without the latch every
-      // subsequent Append would re-select the same victims and re-issue
-      // the same failing writes across all channels forever.
+      // subsequent AppendBatch would re-select the same victims and
+      // re-issue the same failing writes across all channels forever.
       DisableStore(st);
       for (PageId id : chain) store->FreePage(id);
       return nullptr;
@@ -321,7 +321,7 @@ bool SpBudgetGovernor::SpillAsync(
         // The freed window slot may be the only thing that was holding
         // back further shedding (Rebalance declines while the window is
         // full, and a closed producer never calls it again) — re-run it
-        // here so the budget converges without another Append.
+        // here so the budget converges without another AppendBatch.
         self->Rebalance(nullptr);
         return ok ? Status::OK() : Status::IoError("spill write failed");
       },

@@ -53,17 +53,6 @@ class SatelliteRerunSource final : public PageSource {
         rerun_(std::move(rerun)),
         rerun_counter_(rerun_counter) {}
 
-  PageRef Next() override {
-    for (;;) {
-      PageRef page = Inner()->Next();
-      if (page != nullptr) {
-        delivered_.fetch_add(1, std::memory_order_relaxed);
-        return page;
-      }
-      if (!MaybeRerun()) return nullptr;
-    }
-  }
-
   std::size_t NextBatch(std::size_t max_pages,
                         std::vector<PageRef>* out) override {
     for (;;) {
@@ -434,16 +423,14 @@ void Stage::Enqueue(PlanNodeRef node, ExecContextRef ctx, PageSinkRef output,
   if (prepare) prepare(*packet);
   // Batched transport wiring: the operator keeps its page-at-a-time
   // loop, but every page crossing a stage boundary rides a batch — one
-  // lock acquisition (FIFO) or one publication + wake sweep (SPL) per
-  // sp_read_batch pages instead of per page.
-  if (options_.sp_read_batch > 1) {
-    for (PageSourceRef& input : packet->inputs) {
-      input = std::make_shared<BatchingSource>(std::move(input),
-                                               options_.sp_read_batch);
-    }
-    packet->output = std::make_shared<BatchingSink>(std::move(packet->output),
-                                                    options_.sp_read_batch);
+  // lock acquisition (FIFO) or one publication + wake seed (SPL) per
+  // kTransportBatch pages instead of per page.
+  for (PageSourceRef& input : packet->inputs) {
+    input = std::make_shared<BatchingSource>(std::move(input),
+                                             kTransportBatch);
   }
+  packet->output = std::make_shared<BatchingSink>(std::move(packet->output),
+                                                  kTransportBatch);
 
   packets_executed_.fetch_add(1, std::memory_order_relaxed);
   // Every packet run is wall-timed (two clock reads): the time feeds the

@@ -118,8 +118,8 @@ TEST(SplTest, SingleReaderSeesAllPagesInOrder) {
   auto spl = SharedPagesList::Create();
   auto reader = spl->AttachReader();
   ASSERT_NE(reader, nullptr);
-  spl->Append(MakePage(1));
-  spl->Append(MakePage(2));
+  spl->AppendBatch({MakePage(1)});
+  spl->AppendBatch({MakePage(2)});
   spl->Close(Status::OK());
   EXPECT_EQ(FirstValue(reader->Next()), 100);
   EXPECT_EQ(FirstValue(reader->Next()), 200);
@@ -133,7 +133,7 @@ TEST(SplTest, PagesAreSharedNotCopied) {
   auto r2 = spl->AttachReader();
   PageRef page = MakePage(7);
   const RowPage* raw = page.get();
-  spl->Append(std::move(page));
+  spl->AppendBatch({std::move(page)});
   spl->Close(Status::OK());
   // Both readers observe the *same* page object — the defining property
   // of pull-based SP (no per-consumer copies).
@@ -144,12 +144,12 @@ TEST(SplTest, PagesAreSharedNotCopied) {
 TEST(SplTest, LateReaderSeesHistory) {
   auto spl = SharedPagesList::Create();
   auto early = spl->AttachReader();
-  spl->Append(MakePage(1));
-  spl->Append(MakePage(2));
+  spl->AppendBatch({MakePage(1)});
+  spl->AppendBatch({MakePage(2)});
   // Late attach mid-production: the widened pull-model sharing window.
   auto late = spl->AttachReader();
   ASSERT_NE(late, nullptr);
-  spl->Append(MakePage(3));
+  spl->AppendBatch({MakePage(3)});
   spl->Close(Status::OK());
 
   int early_count = 0, late_count = 0;
@@ -162,7 +162,7 @@ TEST(SplTest, LateReaderSeesHistory) {
 TEST(SplTest, AttachAfterOkCloseStillWorks) {
   auto spl = SharedPagesList::Create();
   auto keeper = spl->AttachReader();  // keeps producer alive
-  spl->Append(MakePage(1));
+  spl->AppendBatch({MakePage(1)});
   spl->Close(Status::OK());
   auto reader = spl->AttachReader();
   ASSERT_NE(reader, nullptr);
@@ -183,17 +183,17 @@ TEST(SplTest, AppendFailsWhenAllReadersCancelled) {
   auto spl = SharedPagesList::Create();
   auto r1 = spl->AttachReader();
   auto r2 = spl->AttachReader();
-  EXPECT_TRUE(spl->Append(MakePage(1)));
+  EXPECT_TRUE(spl->AppendBatch({MakePage(1)}));
   r1->Cancel();
-  EXPECT_TRUE(spl->Append(MakePage(2)));  // r2 still live
+  EXPECT_TRUE(spl->AppendBatch({MakePage(2)}));  // r2 still live
   r2->Cancel();
-  EXPECT_FALSE(spl->Append(MakePage(3)));  // everyone gone
+  EXPECT_FALSE(spl->AppendBatch({MakePage(3)}));  // everyone gone
 }
 
 TEST(SplTest, CancelledReaderStopsEarly) {
   auto spl = SharedPagesList::Create();
   auto reader = spl->AttachReader();
-  spl->Append(MakePage(1));
+  spl->AppendBatch({MakePage(1)});
   reader->Cancel();
   EXPECT_EQ(reader->Next(), nullptr);
   EXPECT_EQ(reader->FinalStatus().code(), StatusCode::kAborted);
@@ -208,7 +208,7 @@ TEST(SplTest, ManyConcurrentReadersSeeIdenticalStream) {
   for (int r = 0; r < kReaders; ++r) readers.push_back(spl->AttachReader());
 
   std::thread producer([&] {
-    for (int i = 0; i < kPages; ++i) spl->Append(MakePage(i, 1));
+    for (int i = 0; i < kPages; ++i) spl->AppendBatch({MakePage(i, 1)});
     spl->Close(Status::OK());
   });
 
@@ -236,7 +236,7 @@ TEST(SplTest, SlowAndFastReadersBothComplete) {
   auto slow = spl->AttachReader();
 
   std::thread producer([&] {
-    for (int i = 0; i < 50; ++i) spl->Append(MakePage(i));
+    for (int i = 0; i < 50; ++i) spl->AppendBatch({MakePage(i)});
     spl->Close(Status::OK());
   });
   std::thread fast_consumer([&] {

@@ -119,7 +119,7 @@ TEST(CancelRaceTest, CancelParkedReadersWhileProducerAppends) {
 
     std::thread producer([&] {
       for (int p = 0; p < kPages; ++p) {
-        list->Append(MakePage(static_cast<uint8_t>(p)));
+        list->AppendBatch({MakePage(static_cast<uint8_t>(p))});
         if (p % 16 == 0) std::this_thread::yield();
       }
       list->Close(Status::OK());

@@ -436,8 +436,8 @@ TEST(AsyncSpillTest, PagesStayResidentUntilSpillWriteIsDurable) {
 
   constexpr std::size_t kPages = 6;
   for (std::size_t i = 0; i < kPages; ++i) {
-    ASSERT_GT(rig.list->Append(MakePatternPage(
-                  kRowWidth, kRowsPerPage, static_cast<uint8_t>(i))),
+    ASSERT_GT(rig.list->AppendBatch({MakePatternPage(
+                  kRowWidth, kRowsPerPage, static_cast<uint8_t>(i))}),
               0u);
   }
 
@@ -504,8 +504,8 @@ TEST(AsyncSpillTest, SpillWriteWindowBoundsInFlightWrites) {
   ASSERT_NE(blocker, nullptr);
 
   for (std::size_t i = 0; i < 8; ++i) {
-    ASSERT_GT(rig.list->Append(MakePatternPage(
-                  kRowWidth, kRowsPerPage, static_cast<uint8_t>(i))),
+    ASSERT_GT(rig.list->AppendBatch({MakePatternPage(
+                  kRowWidth, kRowsPerPage, static_cast<uint8_t>(i))}),
               0u);
     EXPECT_LE(rig.governor->SpillsInFlight(), 1u)
         << "the window must cap queued spill writes";

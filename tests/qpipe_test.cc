@@ -494,5 +494,15 @@ TEST_F(QPipeTest, SpModeSwitchableAtRuntime) {
   ASSERT_TRUE(got.ok());
 }
 
+// The engine always runs its I/O scheduler; a zero-worker configuration
+// is rejected loudly at construction rather than silently degraded.
+TEST_F(QPipeTest, ZeroIoThreadsFailsConstruction) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  QPipeOptions options;
+  options.io_threads = 0;
+  EXPECT_DEATH(QPipeEngine(db_->catalog(), options, db_->metrics()),
+               "io_threads must be at least 1");
+}
+
 }  // namespace
 }  // namespace sharing

@@ -143,62 +143,88 @@ TEST_P(SharingChannelTest, OnCloseReportsSessionStats) {
   EXPECT_FALSE(closing.attach_window_open);
 }
 
-// Batched producer + batched consumers must deliver the identical
-// ordered stream — the amortized hot path cannot reorder, drop, or
-// duplicate (exercises SharedPagesList::AppendBatch + SplReader::
-// NextBatch on pull, FifoBuffer::PushBatch/PopBatch on push).
+// Every producer x reader call mix must deliver the identical ordered
+// stream: batches are the transport primitive and Put()/Next() are
+// one-page batches on top, so mixing granularities cannot reorder, drop,
+// or duplicate (exercises SharedPagesList::AppendBatch + SplReader::
+// NextBatch on pull, FifoBuffer::PutBatch/NextBatch on push).
 TEST_P(SharingChannelTest, BatchedPutAndBatchedReadPreserveTheStream) {
-  auto channel = MakeChannel();
+  enum class Producer { kSinglePut, kBatched, kMixed };
   constexpr int kReaders = 3;
   constexpr int kPages = 200;
   constexpr std::size_t kBatch = 8;
 
-  std::vector<PageSourceRef> readers;
-  for (int r = 0; r < kReaders; ++r) {
-    auto reader = channel->AttachReader();
-    ASSERT_NE(reader, nullptr);
-    readers.push_back(std::move(reader));
-  }
-
-  std::thread producer([&] {
-    std::vector<PageRef> batch;
-    for (int i = 0; i < kPages; ++i) {
-      batch.push_back(MakePage(i, 1));
-      if (batch.size() == kBatch) {
-        ASSERT_TRUE(channel->PutBatch(std::move(batch)));
-        batch = {};
+  for (Producer mode :
+       {Producer::kSinglePut, Producer::kBatched, Producer::kMixed}) {
+    for (bool batched_reads : {false, true}) {
+      SCOPED_TRACE(testing::Message()
+                   << "producer=" << static_cast<int>(mode)
+                   << " batched_reads=" << batched_reads);
+      auto channel = MakeChannel();
+      std::vector<PageSourceRef> readers;
+      for (int r = 0; r < kReaders; ++r) {
+        auto reader = channel->AttachReader();
+        ASSERT_NE(reader, nullptr);
+        readers.push_back(std::move(reader));
       }
-    }
-    if (!batch.empty()) ASSERT_TRUE(channel->PutBatch(std::move(batch)));
-    channel->Close(Status::OK());
-  });
 
-  std::vector<std::thread> consumers;
-  std::atomic<int> failures{0};
-  for (int r = 0; r < kReaders; ++r) {
-    consumers.emplace_back([&, r] {
-      int64_t expect = 0;
-      std::vector<PageRef> got;
-      for (;;) {
-        got.clear();
-        // Deliberately a different batch size than the producer's: the
-        // reader's view must be independent of publication batching.
-        std::size_t n = readers[r]->NextBatch(5, &got);
-        if (n == 0) break;
-        if (n != got.size()) failures.fetch_add(1);
-        for (const PageRef& page : got) {
-          if (FirstValue(page) != expect * 100) failures.fetch_add(1);
-          ++expect;
+      std::atomic<int> failures{0};
+      std::thread producer([&] {
+        std::vector<PageRef> batch;
+        for (int i = 0; i < kPages; ++i) {
+          // Mixed: alternate runs of single puts and one batched put.
+          const bool single =
+              mode == Producer::kSinglePut ||
+              (mode == Producer::kMixed && (i / kBatch) % 2 == 0);
+          if (single) {
+            if (!channel->Put(MakePage(i, 1))) failures.fetch_add(1);
+            continue;
+          }
+          batch.push_back(MakePage(i, 1));
+          if (batch.size() == kBatch) {
+            if (!channel->PutBatch(std::move(batch))) failures.fetch_add(1);
+            batch = {};
+          }
         }
+        if (!batch.empty() && !channel->PutBatch(std::move(batch))) {
+          failures.fetch_add(1);
+        }
+        channel->Close(Status::OK());
+      });
+
+      std::vector<std::thread> consumers;
+      for (int r = 0; r < kReaders; ++r) {
+        consumers.emplace_back([&, r] {
+          int64_t expect = 0;
+          auto check = [&](const PageRef& page) {
+            if (FirstValue(page) != expect * 100) failures.fetch_add(1);
+            ++expect;
+          };
+          if (batched_reads) {
+            std::vector<PageRef> got;
+            for (;;) {
+              got.clear();
+              // Deliberately a different batch size than the producer's:
+              // the reader's view must be independent of publication
+              // batching.
+              std::size_t n = readers[r]->NextBatch(5, &got);
+              if (n == 0) break;
+              if (n != got.size()) failures.fetch_add(1);
+              for (const PageRef& page : got) check(page);
+            }
+          } else {
+            while (PageRef page = readers[r]->Next()) check(page);
+          }
+          if (expect != kPages) failures.fetch_add(1);
+          if (!readers[r]->FinalStatus().ok()) failures.fetch_add(1);
+          if (readers[r]->PagesDelivered() != kPages) failures.fetch_add(1);
+        });
       }
-      if (expect != kPages) failures.fetch_add(1);
-      if (!readers[r]->FinalStatus().ok()) failures.fetch_add(1);
-      if (readers[r]->PagesDelivered() != kPages) failures.fetch_add(1);
-    });
+      producer.join();
+      for (auto& t : consumers) t.join();
+      EXPECT_EQ(failures.load(), 0);
+    }
   }
-  producer.join();
-  for (auto& t : consumers) t.join();
-  EXPECT_EQ(failures.load(), 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(PushAndPull, SharingChannelTest,
@@ -884,8 +910,8 @@ TEST(SplContentionTest, ChainedWakeupReachesEveryParkedReader) {
 }
 
 // ---------------------------------------------------------------------------
-// Batch adapters: the packet-side wrappers Stage wires around inputs and
-// outputs when sp_read_batch > 1.
+// Batch adapters: the packet-side wrappers Stage wires around every
+// packet's inputs and output.
 // ---------------------------------------------------------------------------
 
 TEST(BatchPipeTest, SinkBuffersUntilBatchAndFlushesOnClose) {
