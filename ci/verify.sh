@@ -94,13 +94,15 @@ if [[ "${1:-}" != "--fast" ]]; then
   # Scoped to the concurrency-heavy suites plus adaptive admission (the
   # per-signature cost model under every engine mode) and the end-to-end
   # CJOIN / SP / workload-driver suites, which drive the CJOIN sink and
-  # the root collector through the batched transport — the full matrix
-  # under TSan would dominate verify wall time without exercising new
-  # interleavings.
+  # the root collector through the batched transport, and the storage
+  # suites whose scans read ahead on I/O workers (CircularScanTest;
+  # FaultTest, where CJOIN fact-scan faults land beside readahead) — the
+  # full matrix under TSan would dominate verify wall time without
+  # exercising new interleavings.
   cmake -B build-tsan -S . -DSHARING_TSAN=ON
   cmake --build build-tsan -j "$JOBS"
   ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-    -R 'SharingChannelTest|PushChannelTest|PullChannelTest|SpillChannelTest|SplContentionTest|BatchPipeTest|SplTest|FifoBufferTest|AsyncSpillTest|SpillEngineTest|SpBudgetGovernorTest|IoSchedulerTest|CircularScanPrefetchTest|TraceTest|AdminServerTest|AdminEngineTest|WatchdogTest|MetricsFormatTest|FaultRegistryTest|DeadlineTest|CancelRaceTest|QPipeTest|SharingCostModelTest|EngineModeTest|EngineModeSwitchTest|CJoinTest|QPipeSpTest|DriverTest'
+    -R 'SharingChannelTest|PushChannelTest|PullChannelTest|SpillChannelTest|SplContentionTest|BatchPipeTest|SplTest|FifoBufferTest|AsyncSpillTest|SpillEngineTest|SpBudgetGovernorTest|IoSchedulerTest|CircularScanPrefetchTest|TraceTest|AdminServerTest|AdminEngineTest|WatchdogTest|MetricsFormatTest|FaultRegistryTest|DeadlineTest|CancelRaceTest|QPipeTest|SharingCostModelTest|EngineModeTest|EngineModeSwitchTest|CJoinTest|QPipeSpTest|DriverTest|FaultTest|CircularScanTest'
 fi
 
 echo "verify: OK"

@@ -10,7 +10,9 @@ namespace sharing {
 
 CJoinPipeline::CJoinPipeline(Catalog* catalog, const std::string& fact_table,
                              std::vector<CJoinLevelSpec> levels,
-                             CJoinOptions options, MetricsRegistry* metrics)
+                             CJoinOptions options, MetricsRegistry* metrics,
+                             std::shared_ptr<IoScheduler> scheduler,
+                             std::size_t prefetch_depth)
     : catalog_(catalog),
       options_(options),
       metrics_(metrics),
@@ -25,6 +27,8 @@ CJoinPipeline::CJoinPipeline(Catalog* catalog, const std::string& fact_table,
   auto fact_or = catalog->GetTable(fact_table);
   SHARING_CHECK(fact_or.ok()) << fact_or.status().ToString();
   fact_ = fact_or.value();
+  readahead_ = std::make_unique<ScanReadahead>(fact_, std::move(scheduler),
+                                               prefetch_depth);
 
   bitmap_words_ = (options_.max_queries + 63) / 64;
   slots_.resize(options_.max_queries);
@@ -280,6 +284,7 @@ void CJoinPipeline::DriverLoop() {
       cursor_ = (cursor_ + 1) % n_pages;
     }
 
+    readahead_->Advance();
     auto guard_or = fact_->buffer_pool()->FetchPage(fact_->page_id(position));
     if (!guard_or.ok()) {
       SHARING_LOG(Error) << "CJOIN fact scan failed: "
@@ -305,7 +310,7 @@ void CJoinPipeline::DriverLoop() {
       continue;
     }
 
-    // Respect the in-flight window (prefetch bound).
+    // Respect the worker processing window.
     {
       std::unique_lock<std::mutex> lock(inflight_mutex_);
       inflight_cv_.wait(lock, [&] {

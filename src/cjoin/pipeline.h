@@ -8,8 +8,9 @@
 //        │                       │ bitwise AND of query bitmaps
 //        ▼                       ▼
 //   circular scan of the    distributor: routes each surviving joined
-//   fact table; admission   tuple to the queries whose bit is set
-//   marks on the cursor
+//   fact table, read ahead  tuple to the queries whose bit is set
+//   on the IoScheduler;
+//   admission marks on the cursor
 //
 // Query admission is *mark-based*: a query becomes active at the current
 // scan position and completes when the scan has delivered exactly
@@ -39,6 +40,7 @@
 #include "exec/exec_context.h"
 #include "exec/page_stream.h"
 #include "storage/buffer_pool.h"
+#include "storage/scan_readahead.h"
 #include "storage/table.h"
 
 namespace sharing {
@@ -52,7 +54,8 @@ struct CJoinOptions {
   /// parallelism).
   std::size_t workers = 2;
 
-  /// Fact pages in flight at once (prefetch window of the circular scan).
+  /// Fact pages handed to the workers and not yet processed (the worker
+  /// processing window; readahead is the engine's `scan_prefetch_depth`).
   std::size_t max_in_flight_pages = 4;
 };
 
@@ -68,9 +71,13 @@ class CJoinPipeline {
  public:
   /// The pipeline is built once for a star schema: the fact table plus one
   /// level per dimension (queries may use any subset of the levels).
+  /// `scheduler` (optional): the fact scan reads `prefetch_depth` pages
+  /// ahead at kScanPrefetch priority; null = every miss is read inline.
   CJoinPipeline(Catalog* catalog, const std::string& fact_table,
                 std::vector<CJoinLevelSpec> levels, CJoinOptions options,
-                MetricsRegistry* metrics = &MetricsRegistry::Global());
+                MetricsRegistry* metrics = &MetricsRegistry::Global(),
+                std::shared_ptr<IoScheduler> scheduler = nullptr,
+                std::size_t prefetch_depth = 4);
   ~CJoinPipeline();
 
   SHARING_DISALLOW_COPY_AND_MOVE(CJoinPipeline);
@@ -185,6 +192,8 @@ class CJoinPipeline {
   std::deque<ActiveQueryRef> pending_;
   uint64_t cursor_ = 0;
   bool shutdown_ = false;
+
+  std::unique_ptr<ScanReadahead> readahead_;  // driver thread only
 
   /// Queries still owed page dispatches. Owned by the driver thread
   /// exclusively (no locking needed).

@@ -30,7 +30,8 @@ SharingEngine::SharingEngine(Database* db, EngineConfig config)
   if (!config_.fact_table.empty()) {
     pipeline_ = std::make_unique<CJoinPipeline>(
         db_->catalog(), config_.fact_table, config_.cjoin_levels,
-        config_.cjoin, db_->metrics());
+        config_.cjoin, db_->metrics(), qpipe_->io_scheduler(),
+        config_.scan_prefetch_depth);
     // The CJOIN stage is built from the same options as every QPipe
     // stage: its sharing sessions get the same workers, FIFOs, cost
     // model and SP memory governor.

@@ -3,13 +3,13 @@
 // The paper's disk-resident experiments (§2 "Sharing in the I/O layer",
 // §6) depend on the I/O path never stalling the sharing fast path: SP
 // producers must keep streaming at memory speed while disk traffic —
-// spill writes, fault-back reads, circular-scan readahead — is scheduled
+// spill writes, fault-back reads, scan readahead — is scheduled
 // separately, by priority. This module is that separation: a small pool
 // of I/O worker threads draining three strict priority classes
 //
 //     kScanPrefetch  >  kFaultBack  >  kSpillWrite
 //
-// (readahead keeps every consumer of a shared circular scan moving;
+// (readahead keeps a circular scan, QPipe's or CJOIN's, moving for all;
 // fault-backs unblock a reader that is already waiting; spill writes are
 // pure background — nobody waits on durability except the memory budget).
 // Each class has its own token-bucket byte budget derived from the same
@@ -67,7 +67,7 @@ namespace sharing {
 /// direction for metrics: the two read classes count `io.reads_issued`,
 /// spill writes count `io.writes_issued`.
 enum class IoPriority : uint8_t {
-  kScanPrefetch = 0,  // circular-scan readahead (paces every scan consumer)
+  kScanPrefetch = 0,  // QPipe and CJOIN circular-scan readahead
   kFaultBack = 1,     // spilled-page reads a waiting reader demands
   kSpillWrite = 2,    // background spill writes (only the budget waits)
 };

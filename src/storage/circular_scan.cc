@@ -71,8 +71,7 @@ CircularScanGroup::CircularScanGroup(const Table* table,
       metrics_(metrics),
       pages_read_(metrics->GetCounter(metrics::kScanPagesRead)),
       shared_attach_(metrics->GetCounter(metrics::kScanSharedAttach)),
-      scheduler_(std::move(scheduler)),
-      prefetch_depth_(prefetch_depth) {}
+      readahead_(table, std::move(scheduler), prefetch_depth) {}
 
 CircularScanGroup::~CircularScanGroup() {
   {
@@ -86,10 +85,6 @@ CircularScanGroup::~CircularScanGroup() {
   }
   wake_producer_.notify_all();
   if (producer_.joinable()) producer_.join();
-  // After the join nobody issues new readahead; cancel whatever is still
-  // queued (a job that already started finishes harmlessly — it touches
-  // only the database-owned buffer pool).
-  for (const auto& ticket : prefetch_tickets_) ticket->TryCancel();
 }
 
 std::unique_ptr<CircularScanGroup::Ticket> CircularScanGroup::Attach() {
@@ -118,44 +113,6 @@ std::size_t CircularScanGroup::ActiveConsumers() const {
   return consumers_.size();
 }
 
-void CircularScanGroup::PrefetchAhead(uint64_t seq, uint64_t n_pages) {
-  if (scheduler_ == nullptr || prefetch_depth_ == 0) return;
-  BufferPool* pool = table_->buffer_pool();
-  // Drop completed tickets so the deque tracks only live readahead.
-  while (!prefetch_tickets_.empty() && prefetch_tickets_.front()->done()) {
-    prefetch_tickets_.pop_front();
-  }
-  const uint64_t target = seq + prefetch_depth_;
-  for (uint64_t s = std::max(seq + 1, prefetched_until_ + 1); s <= target;
-       ++s) {
-    // Readahead that cannot keep up is readahead that arrives too late
-    // to help: once `prefetch_depth_` jobs are outstanding, stop issuing
-    // instead of backlogging the scheduler queue without bound. Skipped
-    // positions are simply future cache misses; the producer moves on
-    // and later calls target only what is still ahead of it.
-    if (prefetch_tickets_.size() >= prefetch_depth_) break;
-    const PageId pid = table_->page_id(s % n_pages);
-    // A page that is already resident would be a free hit — don't spend
-    // scheduler budget (or inflate io.reads_issued) re-fetching it. The
-    // probe is advisory; a page evicted right after just misses later.
-    if (pool->IsResident(pid)) {
-      prefetched_until_ = std::max(prefetched_until_, s);
-      continue;
-    }
-    // The job captures only the database-owned pool and the page id, so
-    // it stays safe even if this group dies before it runs. Fetch + drop
-    // leaves the page resident for the producer's upcoming FetchPage.
-    IoTicketRef ticket = scheduler_->Submit(
-        IoPriority::kScanPrefetch, kPageBytes, [pool, pid] {
-          auto guard_or = pool->FetchPage(pid);
-          return guard_or.ok() ? Status::OK() : guard_or.status();
-        });
-    if (ticket == nullptr) return;  // scheduler shut down
-    prefetch_tickets_.push_back(std::move(ticket));
-    prefetched_until_ = std::max(prefetched_until_, s);
-  }
-}
-
 void CircularScanGroup::ProducerLoop() {
   BufferPool* pool = table_->buffer_pool();
   const std::size_t n_pages = table_->num_pages();
@@ -180,7 +137,7 @@ void CircularScanGroup::ProducerLoop() {
       cursor_ = (cursor_ + 1) % n_pages;
     }
 
-    PrefetchAhead(read_seq_++, n_pages);
+    readahead_.Advance();
     auto guard_or = pool->FetchPage(table_->page_id(position));
     if (!guard_or.ok()) {
       SHARING_LOG(Error) << "circular scan fetch failed: "

@@ -12,13 +12,8 @@
 // its shared scans). A consumer may cancel early (query abort), which
 // simply detaches it.
 //
-// With an IoScheduler configured, the producer issues readahead for the
-// next `prefetch_depth` positions through the scheduler's kScanPrefetch
-// class (the highest priority: the circular stream paces *every*
-// attached consumer) instead of paying each miss inline, so under a
-// disk-latency model the page it needs next is usually already resident
-// when it gets there. Prefetch is best-effort: a failed or cancelled
-// readahead is just a future buffer-pool miss.
+// With an IoScheduler configured, the producer reads the next
+// `prefetch_depth` positions ahead through a ScanReadahead.
 
 #pragma once
 
@@ -36,6 +31,7 @@
 #include "common/status.h"
 #include "io/io_scheduler.h"
 #include "storage/buffer_pool.h"
+#include "storage/scan_readahead.h"
 #include "storage/table.h"
 
 namespace sharing {
@@ -124,17 +120,11 @@ class CircularScanGroup {
 
   void ProducerLoop();
 
-  /// Issues scheduler readahead for the positions following absolute
-  /// sequence number `seq` (producer thread only).
-  void PrefetchAhead(uint64_t seq, uint64_t n_pages);
-
   const Table* table_;
   std::size_t queue_depth_;
   MetricsRegistry* metrics_;
   Counter* pages_read_;
   Counter* shared_attach_;
-  std::shared_ptr<IoScheduler> scheduler_;
-  std::size_t prefetch_depth_;
 
   mutable std::mutex mutex_;
   std::condition_variable wake_producer_;
@@ -144,13 +134,7 @@ class CircularScanGroup {
   bool producer_started_ = false;
   std::thread producer_;
 
-  // Prefetch state (producer thread only, no lock needed): absolute
-  // read sequence, the highest sequence already prefetched, and the
-  // outstanding tickets (bounded by prefetch_depth_; cancelled at
-  // destruction so no readahead outlives the group).
-  uint64_t read_seq_ = 0;
-  uint64_t prefetched_until_ = 0;
-  std::deque<IoTicketRef> prefetch_tickets_;
+  ScanReadahead readahead_;  // producer thread only
 };
 
 }  // namespace sharing

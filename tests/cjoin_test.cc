@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <future>
 #include <thread>
 
 #include "cjoin/cjoin_stage.h"
@@ -12,6 +13,7 @@
 #include "cjoin/star_query.h"
 #include "core/sharing_engine.h"
 #include "exec/reference_executor.h"
+#include "io/io_scheduler.h"
 #include "qpipe/fifo_buffer.h"
 #include "test_util.h"
 
@@ -25,15 +27,18 @@ using testing::MakeTestDatabase;
 /// dim2(k, tag, weight).
 class CJoinTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    db_ = MakeTestDatabase();
+  void SetUp() override { Load(/*frames=*/16384, /*fact_rows=*/4000); }
+
+  /// (Re)builds the star schema in a fresh database of `frames` frames.
+  void Load(std::size_t frames, int64_t fact_rows) {
+    db_ = MakeTestDatabase(frames);
 
     Schema fact({Column::Int64("id"), Column::Int64("d1k"),
                  Column::Int64("d2k"), Column::Double("v")});
     auto f = db_->catalog()->CreateTable("fact", fact, db_->buffer_pool());
     ASSERT_TRUE(f.ok());
     TableAppender fa(f.value());
-    for (int64_t i = 0; i < 4000; ++i) {
+    for (int64_t i = 0; i < fact_rows; ++i) {
       auto row = fa.AppendRow();
       ASSERT_TRUE(row.ok());
       row.value()
@@ -369,6 +374,100 @@ TEST_F(CJoinTest, MetricsAccountForDroppedTuples) {
   EXPECT_GT(delta[metrics::kCjoinBitmapAndOps], 0);
   EXPECT_EQ(delta[metrics::kCjoinQueriesAdmitted], 1);
   EXPECT_EQ(delta[metrics::kCjoinQueriesCompleted], 1);
+}
+
+// ---------------------------------------------------------------------------
+// Fact-scan readahead through the IoScheduler
+// ---------------------------------------------------------------------------
+
+TEST_F(CJoinTest, FactScanReadaheadMatchesReferenceWithoutDoubleReads) {
+  // A fact table about ten times the pool on a disk with a read latency:
+  // the driver misses on every page unless readahead brought it in first.
+  Load(/*frames=*/64, /*fact_rows=*/160000);
+  ASSERT_GT(db_->catalog()->GetTable("fact").value()->num_pages(), 8u * 64);
+  db_->SetDiskResident(/*read_latency_micros=*/55, /*bandwidth_mib=*/1500);
+  constexpr std::size_t kDepth = 4;
+  auto plan = TwoDimPlan();
+  const ResultSet want = Reference(plan);
+  Counter* disk_reads = db_->metrics()->GetCounter(metrics::kDiskPageReads);
+
+  // One cold-cache query; returns the disk reads it cost.
+  auto cold_run = [&](std::shared_ptr<IoScheduler> scheduler) {
+    EXPECT_TRUE(db_->buffer_pool()->EvictAll().ok());
+    const int64_t before = disk_reads->Get();
+    {
+      CJoinPipeline pipeline(db_->catalog(), "fact", Levels(),
+                             CJoinOptions{}, db_->metrics(), scheduler,
+                             kDepth);
+      auto got = RunThroughCJoin(&pipeline, plan);
+      EXPECT_TRUE(got.ok()) << got.status().ToString();
+      if (got.ok()) ExpectResultsEquivalent(want, got.value());
+    }
+    // Let readahead that was already running finish before counting.
+    if (scheduler != nullptr) scheduler->Shutdown();
+    return disk_reads->Get() - before;
+  };
+
+  const int64_t inline_reads = cold_run(nullptr);
+  MetricsRegistry io_metrics;
+  IoScheduler::Options io_options;
+  io_options.threads = 2;
+  io_options.metrics = &io_metrics;
+  const int64_t readahead_reads =
+      cold_run(std::make_shared<IoScheduler>(io_options));
+
+  EXPECT_GT(io_metrics.GetCounter(metrics::kIoReadsIssued)->Get(), 0)
+      << "the driver must issue scheduler readahead";
+  // Each page is read once, by a readahead job or by the driver (which
+  // waits on a page still loading); only the last `kDepth` jobs, issued
+  // past the end of the query's cycle, may add reads.
+  EXPECT_LE(readahead_reads, inline_reads + static_cast<int64_t>(kDepth));
+}
+
+TEST_F(CJoinTest, TeardownCancelsQueuedFactScanReadahead) {
+  auto plan = OneDimPlan();
+  const ResultSet want = Reference(plan);
+  // Cold cache: readahead skips resident pages.
+  ASSERT_TRUE(db_->buffer_pool()->EvictAll().ok());
+  MetricsRegistry io_metrics;
+  IoScheduler::Options io_options;
+  io_options.threads = 1;
+  io_options.metrics = &io_metrics;
+  auto scheduler = std::make_shared<IoScheduler>(io_options);
+
+  // Park the only I/O worker, so every readahead job stays queued.
+  std::promise<void> started;
+  std::promise<void> release;
+  IoTicketRef blocker = scheduler->Submit(
+      IoPriority::kScanPrefetch, 0,
+      [&started, released = release.get_future().share()] {
+        started.set_value();
+        released.wait();
+        return Status::OK();
+      });
+  started.get_future().wait();
+
+  Counter* disk_reads = db_->metrics()->GetCounter(metrics::kDiskPageReads);
+  int64_t reads_at_teardown = 0;
+  {
+    CJoinPipeline pipeline(db_->catalog(), "fact", Levels(), CJoinOptions{},
+                           db_->metrics(), scheduler, /*prefetch_depth=*/4);
+    auto got = RunThroughCJoin(&pipeline, plan);
+    EXPECT_TRUE(got.ok()) << got.status().ToString();
+    if (got.ok()) ExpectResultsEquivalent(want, got.value());
+    // The driver read every page itself; the readahead jobs it issued are
+    // still queued. Evict, so that any of them that ran would read the disk.
+    EXPECT_GT(io_metrics.GetCounter(metrics::kIoReadsIssued)->Get(), 1);
+    EXPECT_GT(scheduler->QueueDepth(IoPriority::kScanPrefetch), 0u);
+    EXPECT_TRUE(db_->buffer_pool()->EvictAll().ok());
+    reads_at_teardown = disk_reads->Get();
+  }  // destroyed with its readahead still queued
+
+  release.set_value();
+  EXPECT_TRUE(blocker->Wait().ok());
+  scheduler->Shutdown();
+  // The teardown cancelled the queued jobs: none of them read a page.
+  EXPECT_EQ(disk_reads->Get(), reads_at_teardown);
 }
 
 }  // namespace
