@@ -12,11 +12,20 @@
 #   ./build-asan/chaos_driver <seed>
 #
 # Usage: ci/check_chaos.sh [build_dir]   (default: build-asan)
+# An existing build_dir must already be an ASan tree (SHARING_ASAN=ON):
+# the script refuses to reconfigure a release tree behind its owner's back.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build-asan}"
 JOBS="$(nproc 2>/dev/null || echo 4)"
+
+CACHE="$BUILD_DIR/CMakeCache.txt"
+if [[ -f "$CACHE" ]] && ! grep -qiE '^SHARING_ASAN:BOOL=(ON|TRUE|YES|Y|1)$' "$CACHE"; then
+  echo "check_chaos: $BUILD_DIR is not an ASan build (SHARING_ASAN is off" \
+       "in $CACHE); pass an ASan build directory or a new one" >&2
+  exit 2
+fi
 
 cmake -B "$BUILD_DIR" -S . -DSHARING_ASAN=ON >/dev/null
 cmake --build "$BUILD_DIR" -j "$JOBS" --target chaos_driver

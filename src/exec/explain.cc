@@ -97,14 +97,39 @@ ExplainState::ExplainState() : start_micros_(NowMicros()) {}
 
 std::size_t ExplainState::AddStage(PendingStage record) {
   std::lock_guard<std::mutex> lock(mutex_);
-  pending_.push_back(std::move(record));
-  run_micros_.push_back(0);
-  return pending_.size() - 1;
+  slots_.emplace_back();
+  slots_.back().record = std::move(record);
+  return slots_.size() - 1;
+}
+
+PageSourceRef ExplainState::TrackReader(std::size_t index,
+                                        PageSourceRef reader) {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (index < slots_.size()) slots_[index].reader = reader;
+  }
+  PageSource* raw = reader.get();
+  // The deleter runs when the query drops its last handle copy; it drops
+  // its own references there too, since a deleter object itself lives on
+  // until the last weak_ptr to the handle expires.
+  return PageSourceRef(
+      raw, [state = weak_from_this(), index,
+            reader = std::move(reader)](PageSource* source) mutable {
+        if (auto self = state.lock()) {
+          const auto pages = static_cast<int64_t>(source->PagesDelivered());
+          std::lock_guard<std::mutex> lock(self->mutex_);
+          if (index < self->slots_.size()) {
+            self->slots_[index].released_pages = pages;
+          }
+        }
+        state.reset();
+        reader.reset();
+      });
 }
 
 void ExplainState::AddRunMicros(std::size_t index, int64_t micros) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (index < run_micros_.size()) run_micros_[index] += micros;
+  if (index < slots_.size()) slots_[index].run_micros += micros;
 }
 
 void ExplainState::MarkFinished() {
@@ -122,9 +147,9 @@ QueryExplain ExplainState::Build(uint64_t query_id) const {
   QueryExplain explain;
   explain.query_id = query_id;
   explain.total_micros = total_micros_;
-  explain.stages.reserve(pending_.size());
-  for (std::size_t i = 0; i < pending_.size(); ++i) {
-    const PendingStage& p = pending_[i];
+  explain.stages.reserve(slots_.size());
+  for (const Slot& slot : slots_) {
+    const PendingStage& p = slot.record;
     QueryExplain::StageRecord rec;
     rec.stage = p.stage;
     rec.signature = p.signature;
@@ -133,18 +158,20 @@ QueryExplain ExplainState::Build(uint64_t query_id) const {
     rec.decided_by = p.decided_by;
     rec.spill_preferred = p.spill_preferred;
     rec.confidence = p.confidence;
-    rec.run_micros = run_micros_[i];
-    if (auto source = p.source.lock()) {
+    rec.run_micros = slot.run_micros;
+    rec.pages_delivered = slot.released_pages;
+    if (rec.pages_delivered < 0) {
+      auto reader = slot.reader.lock();
       rec.pages_delivered =
-          static_cast<int64_t>(source->PagesDelivered());
-      if (rec.role == QueryExplain::StageRecord::Role::kSatellite) {
-        // A satellite's pages all came from the host: SPL references
-        // under pull, producer-thread deep copies under push.
-        if (std::strcmp(p.transport, "pull") == 0) {
-          rec.pages_shared = rec.pages_delivered;
-        } else if (std::strcmp(p.transport, "push") == 0) {
-          rec.pages_copied = rec.pages_delivered;
-        }
+          reader ? static_cast<int64_t>(reader->PagesDelivered()) : 0;
+    }
+    if (rec.role == QueryExplain::StageRecord::Role::kSatellite) {
+      // A satellite's pages all came from the host: SPL references
+      // under pull, producer-thread deep copies under push.
+      if (std::strcmp(p.transport, "pull") == 0) {
+        rec.pages_shared = rec.pages_delivered;
+      } else if (std::strcmp(p.transport, "push") == 0) {
+        rec.pages_copied = rec.pages_delivered;
       }
     }
     explain.stages.push_back(std::move(rec));

@@ -11,9 +11,13 @@
 // the query runs (stages append an admission record per packet, workers
 // add RunPacket wall time), and Build() resolves it into an immutable
 // QueryExplain that QueryHandle::Collect attaches to the ResultSet.
-// Page counts are read lazily at Build time through weak_ptrs to the
-// query's readers — explain must never extend a reader's lifetime (a
-// pinned SplReader would block the host's page reclamation).
+// Page counts come from the query's readers: each stage hands its reader
+// out through TrackReader, whose handle stores the reader's count on the
+// state when the query releases it (operators drop their inputs as soon
+// as they finish, long before Collect builds the report). A reader still
+// held is read live through a weak_ptr — explain must never extend a
+// reader's lifetime (a pinned SplReader would block the host's page
+// reclamation).
 
 #pragma once
 
@@ -80,11 +84,10 @@ const char* ExplainRoleToString(QueryExplain::StageRecord::Role role);
 
 /// The mutable accumulator carried by ExecContext while the query runs.
 /// Thread-safe: stages and pool workers append concurrently.
-class ExplainState {
+class ExplainState : public std::enable_shared_from_this<ExplainState> {
  public:
-  /// A StageRecord in the making; `source` is the reader whose
-  /// PagesDelivered() becomes the record's page counts at Build time
-  /// (weak: explain must not pin SPL readers).
+  /// A StageRecord in the making (the page counts come from the reader
+  /// passed to TrackReader).
   struct PendingStage {
     std::string stage;
     uint64_t signature = 0;
@@ -94,13 +97,20 @@ class ExplainState {
     const char* decided_by = "static";
     bool spill_preferred = false;
     double confidence = 0;
-    std::weak_ptr<PageSource> source;
   };
 
   ExplainState();
 
-  /// Appends an admission record; returns its index for AddRunMicros.
+  /// Appends an admission record; returns its index for AddRunMicros and
+  /// TrackReader.
   std::size_t AddStage(PendingStage record);
+
+  /// Returns a handle to `reader` (the source the query consumes the
+  /// record at `index` through) that stores reader->PagesDelivered() on
+  /// the record when the query releases its last copy of the handle.
+  /// The handle is the same object as `reader`; it pins neither the
+  /// reader past that release nor this state.
+  PageSourceRef TrackReader(std::size_t index, PageSourceRef reader);
 
   /// Charges RunPacket wall time to the record at `index`.
   void AddRunMicros(std::size_t index, int64_t micros);
@@ -114,15 +124,21 @@ class ExplainState {
   /// Submit -> MarkFinished (0 until finished).
   int64_t total_micros() const;
 
-  /// Resolves the accumulated state (and the weak readers' page counts)
-  /// into an immutable report.
+  /// Resolves the accumulated state (released readers' stored page
+  /// counts, live readers' current ones) into an immutable report.
   QueryExplain Build(uint64_t query_id) const;
 
  private:
+  struct Slot {
+    PendingStage record;
+    int64_t run_micros = 0;
+    std::weak_ptr<PageSource> reader;  // weak: explain must not pin it
+    int64_t released_pages = -1;       // stored on release; -1 while held
+  };
+
   const int64_t start_micros_;
   mutable std::mutex mutex_;
-  std::vector<PendingStage> pending_;
-  std::vector<int64_t> run_micros_;
+  std::vector<Slot> slots_;
   int64_t total_micros_ = 0;
 };
 

@@ -1,6 +1,10 @@
 #include "exec/expr.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 
 #include "common/logging.h"
 
@@ -47,7 +51,27 @@ std::string_view Expr::EvalString(TupleRef) const {
   return {};
 }
 
+void Expr::EvalDoubleBatch(const uint8_t* rows, std::size_t n,
+                           const Schema& schema, double* out) const {
+  const std::size_t stride = schema.row_width();
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = EvalDouble(TupleRef(rows + i * stride, &schema));
+  }
+}
+
 namespace {
+
+/// Reads the fixed-width field at `field` of each of `n` rows `stride`
+/// bytes apart, converting it to double as EvalDouble does.
+template <typename T>
+void LoadColumn(const uint8_t* field, std::size_t n, std::size_t stride,
+                double* out) {
+  for (std::size_t i = 0; i < n; ++i) {
+    T v;
+    std::memcpy(&v, field + i * stride, sizeof(v));
+    out[i] = static_cast<double>(v);
+  }
+}
 
 class ColumnExpr final : public Expr {
  public:
@@ -67,6 +91,23 @@ class ColumnExpr final : public Expr {
     }
     SHARING_CHECK(false) << "EvalDouble on string column";
     return 0;
+  }
+
+  void EvalDoubleBatch(const uint8_t* rows, std::size_t n,
+                       const Schema& schema, double* out) const override {
+    const uint8_t* field = rows + schema.offset(index_);
+    const std::size_t stride = schema.row_width();
+    switch (output_type()) {
+      case ValueType::kInt64:
+        return LoadColumn<int64_t>(field, n, stride, out);
+      case ValueType::kDouble:
+        return LoadColumn<double>(field, n, stride, out);
+      case ValueType::kDate:  // Date is its int32 days_since_epoch
+        return LoadColumn<int32_t>(field, n, stride, out);
+      case ValueType::kString:
+        break;
+    }
+    SHARING_CHECK(false) << "EvalDouble on string column";
   }
 
   int64_t EvalInt64(TupleRef row) const override {
@@ -121,6 +162,11 @@ class LiteralExpr final : public Expr {
     return 0;
   }
 
+  void EvalDoubleBatch(const uint8_t* rows, std::size_t n,
+                       const Schema& schema, double* out) const override {
+    std::fill(out, out + n, EvalDouble(TupleRef(rows, &schema)));
+  }
+
   int64_t EvalInt64(TupleRef) const override {
     switch (output_type()) {
       case ValueType::kInt64:
@@ -141,7 +187,22 @@ class LiteralExpr final : public Expr {
     return std::get<std::string>(value_);
   }
 
-  std::string Canonical() const override { return ValueToString(value_); }
+  /// ValueToString keeps 6 significant digits; a double literal it does
+  /// not round-trip is printed with all 17, so two different literals never
+  /// share a canonical form (and with it a plan signature or an aggregate
+  /// input).
+  std::string Canonical() const override {
+    std::string text = ValueToString(value_);
+    if (output_type() == ValueType::kDouble) {
+      const double v = std::get<double>(value_);
+      if (std::strtod(text.c_str(), nullptr) != v) {
+        char buf[32];
+        std::snprintf(buf, sizeof(buf), "%.17g", v);
+        text = buf;
+      }
+    }
+    return text;
+  }
 
  private:
   Value value_;
@@ -321,6 +382,21 @@ class ArithExpr final : public Expr {
     return 0;
   }
 
+  /// The left operand is evaluated straight into `out`, the right one into
+  /// a stack buffer a chunk at a time (a literal operand fills it).
+  void EvalDoubleBatch(const uint8_t* rows, std::size_t n,
+                       const Schema& schema, double* out) const override {
+    constexpr std::size_t kChunk = 256;
+    lhs_->EvalDoubleBatch(rows, n, schema, out);
+    double rhs[kChunk];
+    for (std::size_t start = 0; start < n; start += kChunk) {
+      const std::size_t m = std::min(kChunk, n - start);
+      rhs_->EvalDoubleBatch(rows + start * schema.row_width(), m, schema,
+                            rhs);
+      Apply(rhs, m, out + start);
+    }
+  }
+
   int64_t EvalInt64(TupleRef row) const override {
     if (output_type() == ValueType::kDouble) {
       return static_cast<int64_t>(EvalDouble(row));
@@ -353,6 +429,27 @@ class ArithExpr final : public Expr {
   }
 
  private:
+  /// out[i] = out[i] op r[i] for i < n, as EvalDouble computes it.
+  void Apply(const double* r, std::size_t n, double* out) const {
+    switch (op_) {
+      case ArithOp::kAdd:
+        for (std::size_t i = 0; i < n; ++i) out[i] = out[i] + r[i];
+        break;
+      case ArithOp::kSub:
+        for (std::size_t i = 0; i < n; ++i) out[i] = out[i] - r[i];
+        break;
+      case ArithOp::kMul:
+        for (std::size_t i = 0; i < n; ++i) out[i] = out[i] * r[i];
+        break;
+      case ArithOp::kDiv:
+        for (std::size_t i = 0; i < n; ++i) out[i] = out[i] / r[i];
+        break;
+      case ArithOp::kMod:
+        for (std::size_t i = 0; i < n; ++i) out[i] = std::fmod(out[i], r[i]);
+        break;
+    }
+  }
+
   ArithOp op_;
   ExprRef lhs_, rhs_;
 };

@@ -6,9 +6,12 @@
 // to the same canonical string (the paper: SP "is limited to common
 // sub-plans with identical predicates").
 //
-// Evaluation is virtual-dispatch per tuple with unboxed results
-// (EvalBool/EvalDouble/EvalInt64); boxing via Value is reserved for plan
-// construction and tests.
+// Evaluation is unboxed (EvalBool/EvalDouble/EvalInt64); boxing via Value
+// is reserved for plan construction and tests. Predicates evaluate one
+// tuple per virtual call. Numeric inputs can also be evaluated a page at
+// a time (EvalDoubleBatch): one virtual call per node per batch, with
+// column, literal and arithmetic nodes running tight strided loops over
+// the packed rows. Hash aggregation evaluates its inputs this way.
 
 #pragma once
 
@@ -53,6 +56,13 @@ class Expr {
   /// Numeric evaluation. Valid when output_type is kInt64/kDouble/kDate.
   virtual double EvalDouble(TupleRef row) const = 0;
   virtual int64_t EvalInt64(TupleRef row) const = 0;
+
+  /// Batched numeric evaluation over `n` packed rows of `schema` laid out
+  /// back to back from `rows` (stride schema.row_width()): writes
+  /// out[i] = EvalDouble(row i), bit for bit. The default loops over
+  /// EvalDouble; column, literal and arithmetic nodes override it.
+  virtual void EvalDoubleBatch(const uint8_t* rows, std::size_t n,
+                               const Schema& schema, double* out) const;
 
   /// Boolean evaluation. Valid for predicates (kCompare/kAnd/kOr/kNot).
   virtual bool EvalBool(TupleRef row) const;

@@ -231,12 +231,81 @@ Status RunHashJoin(const JoinNode& node, PageSource* build, PageSource* probe,
 
 namespace {
 
-struct GroupState {
-  // One slot per AggSpec: sum/min/max in `acc`, count in `count`
-  // (kAvg uses both).
-  std::vector<double> acc;
-  std::vector<int64_t> count;
-  std::vector<bool> seen;  // for min/max initialization
+/// Packed group key -> dense group id (0, 1, 2, ... in first-seen order),
+/// by linear probing over a power-of-two slot array. Keys are stored as
+/// zero-padded 64-bit words, back to back in one array, so a probe hashes
+/// and compares whole words.
+class GroupTable {
+ public:
+  explicit GroupTable(std::size_t key_width)
+      : words_((key_width + 7) / 8), slots_(16, kEmpty) {}
+
+  /// Words per key; FindOrInsert reads that many.
+  std::size_t words() const { return words_; }
+  std::size_t size() const { return hashes_.size(); }
+  const uint64_t* key(std::size_t group) const {
+    return keys_.data() + group * words_;
+  }
+
+  /// The id of `key`; `*inserted` tells a new group.
+  uint32_t FindOrInsert(const uint64_t* key, bool* inserted) {
+    const uint64_t hash = Hash(key);
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t s = hash & mask;; s = (s + 1) & mask) {
+      const uint32_t g = slots_[s];
+      if (g == kEmpty) break;
+      if (hashes_[g] == hash && Equal(this->key(g), key)) {
+        *inserted = false;
+        return g;
+      }
+    }
+    const auto g = static_cast<uint32_t>(size());
+    hashes_.push_back(hash);
+    keys_.insert(keys_.end(), key, key + words_);
+    if (2 * size() > slots_.size()) {
+      Rehash(2 * slots_.size());
+    } else {
+      Place(g);
+    }
+    *inserted = true;
+    return g;
+  }
+
+ private:
+  static constexpr uint32_t kEmpty = UINT32_MAX;
+
+  uint64_t Hash(const uint64_t* key) const {
+    uint64_t h = 0x9E3779B97F4A7C15ull;
+    for (std::size_t w = 0; w < words_; ++w) {
+      h = (h ^ key[w]) * 0xFF51AFD7ED558CCDull;
+      h ^= h >> 32;
+    }
+    return h;
+  }
+
+  bool Equal(const uint64_t* a, const uint64_t* b) const {
+    for (std::size_t w = 0; w < words_; ++w) {
+      if (a[w] != b[w]) return false;
+    }
+    return true;
+  }
+
+  void Place(uint32_t group) {
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t s = hashes_[group] & mask;
+    while (slots_[s] != kEmpty) s = (s + 1) & mask;
+    slots_[s] = group;
+  }
+
+  void Rehash(std::size_t slot_count) {
+    slots_.assign(slot_count, kEmpty);
+    for (std::size_t g = 0; g < size(); ++g) Place(static_cast<uint32_t>(g));
+  }
+
+  std::size_t words_;
+  std::vector<uint32_t> slots_;
+  std::vector<uint64_t> hashes_;  // per group
+  std::vector<uint64_t> keys_;    // per group, words_ each
 };
 
 }  // namespace
@@ -244,63 +313,115 @@ struct GroupState {
 Status RunHashAggregate(const AggregateNode& node, PageSource* input,
                         ExecContext* ctx, PageSink* sink) {
   const Schema& in_schema = node.child()->output_schema();
-  const auto& group_by = node.group_by();
   const auto& aggs = node.aggs();
 
-  // Precompute group-key extraction layout: byte ranges of group columns.
+  // Group-key extraction layout: byte ranges of the group columns, with
+  // adjacent columns merged into one range.
   std::vector<std::pair<std::size_t, std::size_t>> key_ranges;  // off, width
   std::size_t key_width = 0;
-  for (auto g : group_by) {
-    key_ranges.emplace_back(in_schema.offset(g), in_schema.column(g).width);
-    key_width += in_schema.column(g).width;
+  for (auto g : node.group_by()) {
+    const std::size_t off = in_schema.offset(g);
+    const std::size_t width = in_schema.column(g).width;
+    if (!key_ranges.empty() &&
+        key_ranges.back().first + key_ranges.back().second == off) {
+      key_ranges.back().second += width;
+    } else {
+      key_ranges.emplace_back(off, width);
+    }
+    key_width += width;
   }
 
-  std::unordered_map<std::string, GroupState> groups;
-  std::string key_buf(key_width, '\0');
+  // Distinct aggregate inputs, by canonical form, each evaluated once per
+  // page: SUM(x) and AVG(x) read one batch of x. COUNT has no input.
+  std::vector<const Expr*> inputs;
+  std::vector<std::string> canonicals;
+  std::vector<std::size_t> input_of(aggs.size(), 0);  // per agg
+  for (std::size_t a = 0; a < aggs.size(); ++a) {
+    if (aggs[a].func == AggSpec::Func::kCount) continue;
+    std::string canonical = aggs[a].input->Canonical();
+    const auto it = std::find(canonicals.begin(), canonicals.end(), canonical);
+    input_of[a] = static_cast<std::size_t>(it - canonicals.begin());
+    if (it == canonicals.end()) {
+      canonicals.push_back(std::move(canonical));
+      inputs.push_back(aggs[a].input.get());
+    }
+  }
+
+  // Accumulators, flat: group g's aggregate a is acc[g * n_aggs + a]. MIN
+  // and MAX start at the group's first value; COUNT and the AVG divisor
+  // read the group's row count.
+  const std::size_t n_aggs = aggs.size();
+  GroupTable groups(key_width);
+  std::vector<double> acc;
+  std::vector<int64_t> rows_in_group;
+  // Per-page scratch, reused across pages.
+  std::vector<uint64_t> key_buf(groups.words(), 0);
+  std::vector<uint32_t> group_of;                     // per row
+  std::vector<std::pair<uint32_t, uint32_t>> fresh;  // (group, first row)
+  std::vector<double> values;                         // input j at j * n
 
   while (PageRef page = input->Next()) {
     if (ctx->StopRequested()) return FinishStopped(ctx, sink, {input});
-    for (std::size_t i = 0; i < page->row_count(); ++i) {
+    const std::size_t n = page->row_count();
+    if (n == 0) continue;
+    group_of.resize(n);
+    fresh.clear();
+    for (std::size_t i = 0; i < n; ++i) {
       const uint8_t* row = page->RowAt(i);
-      // Materialize the concatenated group key.
+      // Shift the key bytes into words in a register: byte p of the key
+      // is byte p % 8 of word p / 8.
+      uint64_t word = 0;
       std::size_t pos = 0;
       for (const auto& [off, width] : key_ranges) {
-        std::memcpy(key_buf.data() + pos, row + off, width);
-        pos += width;
-      }
-      auto [it, inserted] = groups.try_emplace(key_buf);
-      GroupState& g = it->second;
-      if (inserted) {
-        g.acc.assign(aggs.size(), 0.0);
-        g.count.assign(aggs.size(), 0);
-        g.seen.assign(aggs.size(), false);
-      }
-      TupleRef tuple(row, &in_schema);
-      for (std::size_t a = 0; a < aggs.size(); ++a) {
-        const AggSpec& spec = aggs[a];
-        switch (spec.func) {
-          case AggSpec::Func::kCount:
-            ++g.count[a];
-            break;
-          case AggSpec::Func::kSum:
-          case AggSpec::Func::kAvg: {
-            g.acc[a] += spec.input->EvalDouble(tuple);
-            ++g.count[a];
-            break;
-          }
-          case AggSpec::Func::kMin: {
-            double v = spec.input->EvalDouble(tuple);
-            if (!g.seen[a] || v < g.acc[a]) g.acc[a] = v;
-            g.seen[a] = true;
-            break;
-          }
-          case AggSpec::Func::kMax: {
-            double v = spec.input->EvalDouble(tuple);
-            if (!g.seen[a] || v > g.acc[a]) g.acc[a] = v;
-            g.seen[a] = true;
-            break;
+        for (std::size_t b = 0; b < width; ++b, ++pos) {
+          word |= uint64_t{row[off + b]} << (8 * (pos % 8));
+          if (pos % 8 == 7) {
+            key_buf[pos / 8] = word;
+            word = 0;
           }
         }
+      }
+      if (pos % 8 != 0) key_buf[pos / 8] = word;
+      bool inserted;
+      group_of[i] = groups.FindOrInsert(key_buf.data(), &inserted);
+      if (inserted) fresh.emplace_back(group_of[i], static_cast<uint32_t>(i));
+    }
+    values.resize(inputs.size() * n);
+    for (std::size_t j = 0; j < inputs.size(); ++j) {
+      inputs[j]->EvalDoubleBatch(page->RowAt(0), n, in_schema,
+                                 values.data() + j * n);
+    }
+    acc.resize(groups.size() * n_aggs, 0.0);
+    rows_in_group.resize(groups.size(), 0);
+    for (uint32_t g : group_of) ++rows_in_group[g];
+    // One aggregate at a time over the rows in page order, so every
+    // group's sums add up in row order.
+    for (std::size_t a = 0; a < n_aggs; ++a) {
+      const double* v = values.data() + input_of[a] * n;
+      double* col = acc.data() + a;  // group g's slot is col[g * n_aggs]
+      switch (aggs[a].func) {
+        case AggSpec::Func::kCount:
+          break;
+        case AggSpec::Func::kSum:
+        case AggSpec::Func::kAvg:
+          for (std::size_t i = 0; i < n; ++i) {
+            col[group_of[i] * n_aggs] += v[i];
+          }
+          break;
+        case AggSpec::Func::kMin:
+          for (const auto& [g, first] : fresh) col[g * n_aggs] = v[first];
+          for (std::size_t i = 0; i < n; ++i) {
+            double& m = col[group_of[i] * n_aggs];
+            if (v[i] < m) m = v[i];
+          }
+          break;
+        case AggSpec::Func::kMax:
+          for (const auto& [g, first] : fresh) col[g * n_aggs] = v[first];
+          for (std::size_t i = 0; i < n; ++i) {
+            double& m = col[group_of[i] * n_aggs];
+            if (v[i] > m) m = v[i];
+          }
+          break;
       }
     }
   }
@@ -313,33 +434,24 @@ Status RunHashAggregate(const AggregateNode& node, PageSource* input,
   // Emit one row per group: packed group key bytes, then aggregate values.
   const Schema& out_schema = node.output_schema();
   PageEmitter emitter(out_schema.row_width(), sink);
-  for (const auto& [key, g] : groups) {
+  for (std::size_t g = 0; g < groups.size(); ++g) {
     if (ctx->StopRequested()) return FinishStopped(ctx, sink);
     uint8_t* slot = emitter.AppendSlot();
     if (slot == nullptr) return FinishNoConsumers(sink);
-    std::memcpy(slot, key.data(), key.size());
-    std::size_t off = key.size();
+    const uint64_t* key = groups.key(g);
+    for (std::size_t p = 0; p < key_width; ++p) {
+      slot[p] = static_cast<uint8_t>(key[p / 8] >> (8 * (p % 8)));
+    }
+    std::size_t off = key_width;
     for (std::size_t a = 0; a < aggs.size(); ++a) {
-      switch (aggs[a].func) {
-        case AggSpec::Func::kCount: {
-          int64_t c = g.count[a];
-          std::memcpy(slot + off, &c, sizeof(c));
-          off += sizeof(c);
-          break;
-        }
-        case AggSpec::Func::kAvg: {
-          double v = g.count[a] == 0 ? 0.0 : g.acc[a] / double(g.count[a]);
-          std::memcpy(slot + off, &v, sizeof(v));
-          off += sizeof(v);
-          break;
-        }
-        default: {
-          double v = g.acc[a];
-          std::memcpy(slot + off, &v, sizeof(v));
-          off += sizeof(v);
-          break;
-        }
+      if (aggs[a].func == AggSpec::Func::kCount) {
+        std::memcpy(slot + off, &rows_in_group[g], sizeof(int64_t));
+      } else {
+        double v = acc[g * n_aggs + a];
+        if (aggs[a].func == AggSpec::Func::kAvg) v /= double(rows_in_group[g]);
+        std::memcpy(slot + off, &v, sizeof(v));
       }
+      off += sizeof(double);  // every aggregate column is 8 bytes wide
     }
   }
   if (!emitter.Flush()) return FinishNoConsumers(sink);

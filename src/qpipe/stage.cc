@@ -322,9 +322,9 @@ PageSourceRef Stage::SubmitOrShare(PlanNodeRef node, ExecContextRef ctx,
         rec.role = QueryExplain::StageRecord::Role::kSatellite;
         rec.transport = host_mode == SpMode::kPush ? "push" : "pull";
         rec.decided_by = "attach";
-        rec.source = wrapped;
-        ctx->explain()->AddStage(std::move(rec));
-        return wrapped;
+        const std::size_t explain_index =
+            ctx->explain()->AddStage(std::move(rec));
+        return ctx->explain()->TrackReader(explain_index, std::move(wrapped));
       }
       // Attach window closed (push host already emitting, or the host
       // finished/aborted): replace with a fresh host below.
@@ -355,11 +355,11 @@ PageSourceRef Stage::SubmitFresh(PlanNodeRef node, ExecContextRef ctx,
     auto fifo = std::make_shared<FifoBuffer>(options_.fifo_capacity);
     fifo->BindStopCheck(MakeStopProbe(ctx));
     rec.role = QueryExplain::StageRecord::Role::kUnshared;
-    rec.source = fifo;
     const std::size_t explain_index = ctx->explain()->AddStage(std::move(rec));
+    PageSourceRef reader = ctx->explain()->TrackReader(explain_index, fifo);
     Enqueue(std::move(node), std::move(ctx), fifo, make_inputs, prepare,
             record_work, explain_index);
-    return fifo;
+    return reader;
   }
 
   SharingChannelOptions copts;
@@ -400,8 +400,9 @@ PageSourceRef Stage::SubmitFresh(PlanNodeRef node, ExecContextRef ctx,
   host_reader->BindStopCheck(MakeStopProbe(ctx));
   rec.role = QueryExplain::StageRecord::Role::kHost;
   rec.transport = choice.mode == SpMode::kPush ? "push" : "pull";
-  rec.source = host_reader;
   const std::size_t explain_index = ctx->explain()->AddStage(std::move(rec));
+  host_reader =
+      ctx->explain()->TrackReader(explain_index, std::move(host_reader));
   {
     std::lock_guard<std::mutex> lock(registry_mutex_);
     channels_[sig] = channel;

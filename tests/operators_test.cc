@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <thread>
 
 #include "exec/operators.h"
@@ -138,6 +140,58 @@ class OperatorsTest : public ::testing::Test {
                                       std::vector<std::size_t>{0, 1});
   }
 
+  /// "signed": 4000 rows with negative values, a string key of 37
+  /// distinct tags and an integer key of 1500 distinct groups.
+  PlanNodeRef SignedScan(ExprRef pred) {
+    if (!db_->catalog()->GetTable("signed").ok()) {
+      Schema schema({Column::Int64("id"), Column::String("tag", 6),
+                     Column::Double("val"), Column::Int64("grp")});
+      auto t = db_->catalog()->CreateTable("signed", schema,
+                                           db_->buffer_pool());
+      EXPECT_TRUE(t.ok());
+      TableAppender appender(t.value());
+      for (int64_t i = 0; i < 4000; ++i) {
+        auto row = appender.AppendRow();
+        EXPECT_TRUE(row.ok());
+        row.value()
+            .SetInt64(0, i)
+            .SetString(1, "T" + std::to_string(i * 7 % 37))
+            .SetDouble(2, double(i % 201 - 100) * 0.37)
+            .SetInt64(3, i % 1500);
+      }
+      EXPECT_TRUE(appender.Finish().ok());
+    }
+    Schema schema = db_->catalog()->GetTable("signed").value()->schema();
+    return std::make_shared<ScanNode>("signed", schema, std::move(pred),
+                                      std::vector<std::size_t>{0, 1, 2, 3});
+  }
+
+  /// Row-order-independent and bit-exact: every row's raw bytes, sorted
+  /// (ExpectResultsEquivalent compares doubles printed to 6 digits).
+  static std::vector<std::string> RawRows(const ResultSet& rs) {
+    std::vector<std::string> rows;
+    for (std::size_t i = 0; i < rs.num_rows(); ++i) {
+      const auto* data = reinterpret_cast<const char*>(rs.Row(i).data());
+      rows.emplace_back(data, rs.schema().row_width());
+    }
+    std::sort(rows.begin(), rows.end());
+    return rows;
+  }
+
+  /// Runs `plan` (an aggregate) through the pipelined operators and checks
+  /// it against the reference bit for bit; returns the reference result.
+  ResultSet CheckAggBitExact(const PlanNodeRef& plan) {
+    ReferenceExecutor ref(db_->catalog());
+    auto want = ref.Execute(*plan);
+    EXPECT_TRUE(want.ok()) << want.status().ToString();
+    PipelineRunner runner(db_.get());
+    auto got = runner.Run(plan);
+    EXPECT_TRUE(got.ok()) << got.status().ToString();
+    if (!want.ok() || !got.ok()) return ResultSet();
+    EXPECT_EQ(RawRows(want.value()), RawRows(got.value()));
+    return std::move(want).value();
+  }
+
   std::unique_ptr<Database> db_;
 };
 
@@ -220,6 +274,146 @@ TEST_F(OperatorsTest, AggregateCorrectSums) {
   ASSERT_EQ(got.value().num_rows(), 1u);
   EXPECT_DOUBLE_EQ(got.value().Row(0).GetDouble(0), 3000.0 * 2999.0 / 2.0);
   EXPECT_EQ(got.value().Row(0).GetInt64(1), 3000);
+}
+
+// RunHashAggregate on inputs Q1 never produces, bit-exact against the
+// reference executor.
+
+ExprRef SignedVal() { return Col(2, ValueType::kDouble); }
+
+TEST_F(OperatorsTest, AggregateWithoutGroupByIsBitExact) {
+  CheckAggBitExact(std::make_shared<AggregateNode>(
+      SignedScan(TruePredicate()), std::vector<std::size_t>{},
+      std::vector<AggSpec>{AggSpec::Sum(SignedVal(), "s"),
+                           AggSpec::Avg(SignedVal(), "a"),
+                           AggSpec::Min(SignedVal(), "lo"),
+                           AggSpec::Max(SignedVal(), "hi"),
+                           AggSpec::Count("n")}));
+}
+
+TEST_F(OperatorsTest, AggregateStringKeysIsBitExact) {
+  ResultSet want = CheckAggBitExact(std::make_shared<AggregateNode>(
+      SignedScan(TruePredicate()), std::vector<std::size_t>{1},
+      std::vector<AggSpec>{AggSpec::Sum(SignedVal(), "s"),
+                           AggSpec::Count("n")}));
+  EXPECT_EQ(want.num_rows(), 37u);
+}
+
+TEST_F(OperatorsTest, AggregateThousandsOfGroupsGrowTheTable) {
+  // 1500 and then 4000 groups: the group table doubles many times over.
+  ResultSet by_grp = CheckAggBitExact(std::make_shared<AggregateNode>(
+      SignedScan(TruePredicate()), std::vector<std::size_t>{3},
+      std::vector<AggSpec>{AggSpec::Sum(SignedVal(), "s"),
+                           AggSpec::Max(SignedVal(), "hi")}));
+  EXPECT_EQ(by_grp.num_rows(), 1500u);
+  ResultSet by_two = CheckAggBitExact(std::make_shared<AggregateNode>(
+      SignedScan(TruePredicate()), std::vector<std::size_t>{1, 0},
+      std::vector<AggSpec>{AggSpec::Avg(SignedVal(), "a")}));
+  EXPECT_EQ(by_two.num_rows(), 4000u);
+}
+
+TEST_F(OperatorsTest, AggregateMinMaxOverNegativeValues) {
+  ResultSet want = CheckAggBitExact(std::make_shared<AggregateNode>(
+      SignedScan(TruePredicate()), std::vector<std::size_t>{1},
+      std::vector<AggSpec>{
+          AggSpec::Min(SignedVal(), "lo"), AggSpec::Max(SignedVal(), "hi"),
+          AggSpec::Max(Arith(ArithOp::kSub, Lit(-50.0), SignedVal()),
+                       "neg_hi")}));
+  ASSERT_GT(want.num_rows(), 0u);
+  for (std::size_t i = 0; i < want.num_rows(); ++i) {
+    EXPECT_LT(want.Row(i).GetDouble(1), 0.0);
+  }
+}
+
+TEST_F(OperatorsTest, AggregateCountOnly) {
+  ResultSet grouped = CheckAggBitExact(std::make_shared<AggregateNode>(
+      SignedScan(TruePredicate()), std::vector<std::size_t>{3},
+      std::vector<AggSpec>{AggSpec::Count("n")}));
+  EXPECT_EQ(grouped.num_rows(), 1500u);
+  ResultSet global = CheckAggBitExact(std::make_shared<AggregateNode>(
+      SignedScan(TruePredicate()), std::vector<std::size_t>{},
+      std::vector<AggSpec>{AggSpec::Count("n"), AggSpec::Count("m")}));
+  ASSERT_EQ(global.num_rows(), 1u);
+  EXPECT_EQ(global.Row(0).GetInt64(0), 4000);
+}
+
+TEST_F(OperatorsTest, AggregateEmptyInputHasNoGroups) {
+  auto none = Cmp(CmpOp::kLt, Col(0, ValueType::kInt64), Lit(int64_t{-1}));
+  for (auto group_by : {std::vector<std::size_t>{}, {1}}) {
+    ResultSet want = CheckAggBitExact(std::make_shared<AggregateNode>(
+        SignedScan(none), group_by,
+        std::vector<AggSpec>{AggSpec::Min(SignedVal(), "lo"),
+                             AggSpec::Count("n")}));
+    EXPECT_EQ(want.num_rows(), 0u);
+  }
+}
+
+TEST_F(OperatorsTest, AggregateSkipsEmptyPages) {
+  // Feed the scan's rows as pages of 1..9 rows with an empty page before
+  // and after each one, straight into RunHashAggregate.
+  auto agg = std::make_shared<AggregateNode>(
+      SignedScan(TruePredicate()), std::vector<std::size_t>{1},
+      std::vector<AggSpec>{AggSpec::Sum(SignedVal(), "s"),
+                           AggSpec::Min(SignedVal(), "lo"),
+                           AggSpec::Count("n")});
+  ReferenceExecutor ref(db_->catalog());
+  auto rows = ref.Execute(*agg->child());
+  ASSERT_TRUE(rows.ok());
+  const std::size_t width = rows.value().schema().row_width();
+  std::vector<PageRef> pages;
+  for (std::size_t r = 0, k = 0; r < rows.value().num_rows(); ++k) {
+    pages.push_back(std::make_shared<RowPage>(width));
+    auto page = std::make_shared<RowPage>(width, (1 + k % 9) * width);
+    while (!page->full() && r < rows.value().num_rows()) {
+      page->AppendRow(rows.value().Row(r++).data());
+    }
+    pages.push_back(std::move(page));
+  }
+  pages.push_back(std::make_shared<RowPage>(width));
+  FifoBuffer in(pages.size());
+  ASSERT_TRUE(in.PutBatch(std::move(pages)));
+  in.Close(Status::OK());
+  FifoBuffer out(1024);
+  ExecContext ctx;
+  ASSERT_TRUE(RunHashAggregate(*agg, &in, &ctx, &out).ok());
+  ResultSet got(agg->output_schema());
+  while (PageRef page = out.Next()) got.AppendPage(*page);
+  auto want = ref.Execute(*agg);
+  ASSERT_TRUE(want.ok());
+  EXPECT_EQ(RawRows(want.value()), RawRows(got));
+}
+
+TEST_F(OperatorsTest, AggregatesOverOneInputExpressionShareIt) {
+  // Separately built, canonically equal inputs (Q1's sum_qty/avg_qty
+  // pattern), next to a different one.
+  auto disc = [] {
+    return Arith(ArithOp::kMul, SignedVal(),
+                 Arith(ArithOp::kSub, Lit(1.0), Lit(0.05)));
+  };
+  CheckAggBitExact(std::make_shared<AggregateNode>(
+      SignedScan(TruePredicate()), std::vector<std::size_t>{1},
+      std::vector<AggSpec>{
+          AggSpec::Sum(disc(), "s"), AggSpec::Avg(disc(), "a"),
+          AggSpec::Min(disc(), "lo"), AggSpec::Max(disc(), "hi"),
+          AggSpec::Sum(SignedVal(), "s_val"),
+          AggSpec::Sum(SignedVal(), "s_val2")}));
+}
+
+TEST_F(OperatorsTest, AggregateInputsDifferingPastSixDigitsStayApart) {
+  // 1.0 and 1.0000001 print alike to 6 significant digits; the two sums
+  // must still be kept apart.
+  auto scaled = [](double factor) {
+    return Arith(ArithOp::kMul, SignedVal(), Lit(factor));
+  };
+  ResultSet want = CheckAggBitExact(std::make_shared<AggregateNode>(
+      SignedScan(TruePredicate()), std::vector<std::size_t>{},
+      std::vector<AggSpec>{AggSpec::Sum(scaled(1.0000001), "s_wide"),
+                           AggSpec::Sum(scaled(1.0), "s_one"),
+                           AggSpec::Max(scaled(1.0000001), "hi_wide"),
+                           AggSpec::Max(scaled(1.0), "hi_one")}));
+  ASSERT_EQ(want.num_rows(), 1u);
+  EXPECT_NE(want.Row(0).GetDouble(0), want.Row(0).GetDouble(1));
+  EXPECT_NE(want.Row(0).GetDouble(2), want.Row(0).GetDouble(3));
 }
 
 TEST_F(OperatorsTest, SortAscendingMatchesReference) {

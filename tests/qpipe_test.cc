@@ -432,6 +432,52 @@ TEST_F(QPipeTest, PushSpCopiesPagesPullSpShares) {
   EXPECT_GT(pull_delta[metrics::kSpPagesShared], 0);
 }
 
+TEST_F(QPipeTest, ExplainCountsEveryPageAPullHostServed) {
+  // Q1's shape under SP-pull: the scan is shared, each query aggregates
+  // alone. The aggregation drops its scan reader when it finishes, long
+  // before Collect builds the report, so the report must carry the
+  // count stored when the reader was released.
+  QPipeOptions options;
+  options.scan_sp = SpMode::kPull;
+  QPipeEngine engine(db_->catalog(), options, db_->metrics());
+  auto before = db_->metrics()->Snapshot();
+  constexpr int kQueries = 6;
+  std::vector<QueryHandle> handles;
+  for (int q = 0; q < kQueries; ++q) {
+    handles.push_back(engine.Submit(AggPlan()));
+  }
+  std::vector<QueryExplain::StageRecord> hosts, satellites;
+  for (auto& h : handles) {
+    auto got = h.Collect();
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ASSERT_NE(got.value().explain(), nullptr);
+    for (const auto& rec : got.value().explain()->stages) {
+      if (rec.stage != "TSCAN") continue;
+      if (rec.role == QueryExplain::StageRecord::Role::kHost) {
+        hosts.push_back(rec);
+      } else if (rec.role == QueryExplain::StageRecord::Role::kSatellite) {
+        satellites.push_back(rec);
+      }
+    }
+  }
+  ASSERT_GE(hosts.size(), 1u);
+  ASSERT_FALSE(satellites.empty()) << "a batched pull wave must share";
+  ASSERT_EQ(hosts.size() + satellites.size(), std::size_t{kQueries});
+  // Every host of the same plan publishes the same pages (sp.pages_shared
+  // counts each page a host appends to its shared pages list).
+  const int64_t published = MetricsRegistry::Delta(
+      before, db_->metrics()->Snapshot())[metrics::kSpPagesShared];
+  ASSERT_EQ(published % static_cast<int64_t>(hosts.size()), 0);
+  const int64_t per_host = published / static_cast<int64_t>(hosts.size());
+  ASSERT_GT(per_host, 1);
+  for (const auto& rec : hosts) EXPECT_EQ(rec.pages_delivered, per_host);
+  for (const auto& rec : satellites) {
+    EXPECT_STREQ(rec.transport, "pull");
+    EXPECT_EQ(rec.pages_shared, per_host);
+    EXPECT_EQ(rec.pages_delivered, per_host);
+  }
+}
+
 TEST_F(QPipeTest, PullSpWindowWiderThanPush) {
   // In pull mode a satellite can attach while the host is mid-production;
   // in push mode the window closes at the first emitted page. We verify
